@@ -24,7 +24,7 @@ import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..dataset.table import Table
 from ..errors import NotFittedError, SelectionError
@@ -47,8 +47,6 @@ from .nodes import VisualizationNode
 from .partial_order import FactorScores, PartialOrderScorer, matching_quality_raw
 from .ranking import (
     dominance_counts_from_factors,
-    rank_weight_aware,
-    rank_weight_aware_factors,
     rank_weight_aware_factors_with_scores,
 )
 from .recognition import VisualizationRecognizer
@@ -92,7 +90,9 @@ class PartialOrderRanker:
         return order
 
     def rank_with_trace(
-        self, nodes: Sequence[VisualizationNode]
+        self,
+        nodes: Sequence[VisualizationNode],
+        raw_m: Optional[Sequence[float]] = None,
     ) -> Tuple[List[int], List[FactorScores], List[float]]:
         """The ranking plus the factor triples and S(v) values behind it.
 
@@ -100,11 +100,13 @@ class PartialOrderRanker:
         what :meth:`rank` returns (which delegates here — capturing
         provenance can never change the answer), ``factors`` the
         normalised (M, Q, W) triples, and ``scores`` the weight-aware
-        S(v) values the order was sorted by.
+        S(v) values the order was sorted by.  ``raw_m`` optionally
+        supplies each node's already-computed raw M(v) (see
+        :meth:`PartialOrderScorer.score`).
         """
         if not nodes:
             return [], [], []
-        factors = self.score(nodes)
+        factors = self.scorer.score(nodes, raw_m=raw_m)
         order, values = rank_weight_aware_factors_with_scores(factors)
         return order, factors, values
 
@@ -232,29 +234,69 @@ def _enumerate_phase(
     return nodes, None, context.pruning
 
 
+class _MatchingMemo:
+    """Raw matching quality M(v) per chart, computed once per chart state.
+
+    Called like :func:`~repro.core.partial_order.matching_quality_raw`.
+    Entries key on the chart's stable id and are guarded by its feature
+    vector and plotted series, so a stale value is never served: within
+    one request the rank phase reuses what the recognize phase computed,
+    and a memo kept across requests (an incremental session's, one per
+    session) reuses M(v) only for charts whose inputs did not move.
+    ``computed`` counts the evaluations that missed.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[str, Tuple[tuple, float]] = {}
+        self.computed = 0
+
+    def __call__(self, node: VisualizationNode) -> float:
+        chart_id = node_id(node)
+        guard = (node.features, node.data.y_values)
+        hit = self._entries.get(chart_id)
+        if hit is not None and hit[0] == guard:
+            return hit[1]
+        value = matching_quality_raw(node)
+        self._entries[chart_id] = (guard, value)
+        self.computed += 1
+        return value
+
+
+def _validity(
+    nodes: Sequence[VisualizationNode],
+    recognizer: Optional[VisualizationRecognizer],
+    raw_m: Callable[[VisualizationNode], float],
+) -> List[bool]:
+    """Good/bad verdict per node: the trained classifier's, or the expert
+    criterion M(v) > 0 — a chart whose matching quality is zero (AVG
+    pies, trendless lines, uncorrelated scatters, singleton bars) is
+    never a valid chart.
+
+    Both predicates are per-node, so the fan-out computing them over
+    per-column slices gets the mask the serial pipeline computes over
+    the full candidate list.
+    """
+    if recognizer is None:
+        return [raw_m(node) > 0 for node in nodes]
+    return [bool(v) for v in recognizer.predict(nodes)] if nodes else []
+
+
 def _recognize_phase(
     candidates: List[VisualizationNode],
     valid_mask: Optional[List[bool]],
     recognizer: Optional[VisualizationRecognizer],
+    raw_m: Callable[[VisualizationNode], float],
 ) -> List[VisualizationNode]:
     """Filter candidates to the valid charts, with the shared fallback.
 
-    A filter that rejects everything would return nothing; fall back to
-    the unfiltered candidates so selection still surfaces the least-bad
-    charts.
+    ``valid_mask`` is the fan-out's precomputed verdicts; without one
+    the verdicts come from :func:`_validity`.  A filter that rejects
+    everything would return nothing; fall back to the unfiltered
+    candidates so selection still surfaces the least-bad charts.
     """
-    if valid_mask is not None:
-        valid_nodes = [n for n, ok in zip(candidates, valid_mask) if ok]
-    elif recognizer is not None and candidates:
-        valid_nodes = recognizer.filter_valid(candidates)
-    else:
-        # No trained recognizer: apply the expert validity criterion —
-        # a chart whose matching quality M(v) is zero (AVG pies,
-        # trendless lines, uncorrelated scatters, singleton bars) is
-        # never a valid chart.
-        valid_nodes = [
-            node for node in candidates if matching_quality_raw(node) > 0
-        ]
+    if valid_mask is None:
+        valid_mask = _validity(candidates, recognizer, raw_m)
+    valid_nodes = [n for n, ok in zip(candidates, valid_mask) if ok]
     return valid_nodes or list(candidates)
 
 
@@ -263,6 +305,7 @@ def _rank_phase(
     ranker: Union[str, object],
     ltr: Optional[LearningToRankRanker],
     graph_strategy: str,
+    raw_m: Callable[[VisualizationNode], float],
     want_trace: bool = False,
 ) -> Tuple[List[int], Optional[dict]]:
     """Resolve the ranker (name or object with ``.rank``) and apply it.
@@ -271,7 +314,9 @@ def _rank_phase(
     ``want_trace`` asked for the ranker's decision internals (factor
     triples, S(v) values, LTR scores, hybrid blend) for provenance.
     Each ranker's traced and plain paths share one code path, so the
-    order is byte-identical either way.
+    order is byte-identical either way.  The partial order takes each
+    chart's raw M(v) from ``raw_m`` — the same memo the recognize phase
+    filled, so no chart's M(v) is computed twice.
     """
     if not isinstance(ranker, str):
         if want_trace and hasattr(ranker, "rank_with_trace"):
@@ -283,11 +328,12 @@ def _rank_phase(
             )
         return ranker.rank(valid_nodes), None
     if ranker in ("partial_order", "P"):
-        po_ranker = PartialOrderRanker(graph_strategy)
+        order, factors, values = PartialOrderRanker(
+            graph_strategy
+        ).rank_with_trace(valid_nodes, [raw_m(n) for n in valid_nodes])
         if want_trace:
-            order, factors, values = po_ranker.rank_with_trace(valid_nodes)
             return order, {"factors": factors, "po_scores": values}
-        return po_ranker.rank(valid_nodes), None
+        return order, None
     if ranker in ("learning_to_rank", "L"):
         if ltr is None:
             raise SelectionError(
@@ -475,6 +521,93 @@ def _timed_phase(
         start = time.perf_counter()
         yield None
         timings[name] = time.perf_counter() - start
+
+
+def _recognize_and_rank(
+    candidates: List[VisualizationNode],
+    valid_mask: Optional[List[bool]],
+    recognizer: Optional[VisualizationRecognizer],
+    ranker: Union[str, object],
+    ltr: Optional[LearningToRankRanker],
+    graph_strategy: str,
+    raw_m: Callable[[VisualizationNode], float],
+    want_trace: bool,
+    tracer: Optional[Tracer],
+    timings: Dict[str, float],
+) -> Tuple[List[VisualizationNode], List[int], Optional[dict]]:
+    """The timed recognize and rank phases over enumerated candidates.
+
+    The one recognize-and-rank path: :func:`select_top_k` and every
+    :class:`~repro.engine.incremental.IncrementalSession` epoch run it,
+    differing only in the ``raw_m`` memo they hand in (a fresh one per
+    request, or the session's cross-epoch one).  Returns
+    ``(valid_nodes, order, trace)``.
+    """
+    with _timed_phase(tracer, timings, "recognize") as span:
+        valid_nodes = _recognize_phase(
+            candidates, valid_mask, recognizer, raw_m
+        )
+        if span is not None:
+            span.add("valid", len(valid_nodes))
+    with _timed_phase(tracer, timings, "rank") as span:
+        order, trace = _rank_phase(
+            valid_nodes, ranker, ltr, graph_strategy, raw_m,
+            want_trace=want_trace,
+        )
+        if span is not None:
+            span.add("ranked", len(order))
+    return valid_nodes, order, trace
+
+
+def _emit_run_events(
+    events: EventLog,
+    table_name: str,
+    k: int,
+    result: SelectionResult,
+    pruning: PruningCounters,
+    cache,
+    **rank_fields,
+) -> None:
+    """One run's phase, prune, score and rank events (then the cache's).
+
+    Shared by :func:`select_top_k` and incremental epochs; a phase event
+    is emitted per entry of ``result.timings``, in order, with the
+    pipeline phases' counts attached.  Score events come from the
+    result's provenance records.  ``rank_fields`` extend the rank event
+    (an incremental session adds its ``epoch``).
+    """
+    phase_fields = {
+        "enumerate": {
+            "candidates": result.candidates,
+            "considered": pruning.considered,
+            "emitted": pruning.emitted,
+        },
+        "recognize": {"valid": result.valid},
+        "rank": {"ranked": len(result.order)},
+    }
+    for phase, seconds in result.timings.items():
+        events.emit(
+            "phase", phase=phase, table=table_name, seconds=seconds,
+            **phase_fields.get(phase, {}),
+        )
+        if phase == "enumerate":
+            for rule, count in sorted(pruning.pruned.items()):
+                events.emit(
+                    "prune", table=table_name, rule=rule, count=count,
+                )
+    for record in sorted(result.provenance.values(), key=lambda r: r.rank):
+        fields = {"node_id": record.node_id, "rank": record.rank}
+        for name in ("m", "q", "w", "score", "ltr_score"):
+            value = getattr(record, name)
+            if value is not None:
+                fields[name] = value
+        events.emit("score", table=table_name, **fields)
+    events.emit(
+        "rank", table=table_name, k=k,
+        chart_ids=[node_id(n) for n in result.nodes], **rank_fields,
+    )
+    if cache is not None:
+        cache.emit_events(events, table=table_name)
 
 
 def _record_selection_metrics(
@@ -705,43 +838,11 @@ def select_top_k(
                     for name, delta in sorted(kernel_delta.items()):
                         span.set(f"kernel.{name}.calls", int(delta["calls"]))
                         span.set(f"kernel.{name}.seconds", delta["seconds"])
-            if events is not None:
-                events.emit(
-                    "phase", phase="enumerate", table=table.name,
-                    seconds=timings["enumerate"],
-                    candidates=len(candidates),
-                    considered=pruning.considered,
-                    emitted=pruning.emitted,
-                )
-                for rule, count in sorted(pruning.pruned.items()):
-                    events.emit(
-                        "prune", table=table.name, rule=rule, count=count,
-                    )
-
-            with _timed_phase(tracer, timings, "recognize") as span:
-                valid_nodes = _recognize_phase(
-                    candidates, valid_mask, recognizer
-                )
-                if span is not None:
-                    span.add("valid", len(valid_nodes))
-            if events is not None:
-                events.emit(
-                    "phase", phase="recognize", table=table.name,
-                    seconds=timings["recognize"], valid=len(valid_nodes),
-                )
-
-            with _timed_phase(tracer, timings, "rank") as span:
-                order, rank_trace = _rank_phase(
-                    valid_nodes, ranker, ltr, graph_strategy,
-                    want_trace=want_provenance,
-                )
-                if span is not None:
-                    span.add("ranked", len(order))
-            if events is not None:
-                events.emit(
-                    "phase", phase="rank", table=table.name,
-                    seconds=timings["rank"], ranked=len(order),
-                )
+            valid_nodes, order, rank_trace = _recognize_and_rank(
+                candidates, valid_mask, recognizer, ranker, ltr,
+                graph_strategy, _MatchingMemo(), want_provenance, tracer,
+                timings,
+            )
 
             if root is not None:
                 root.set("candidates", len(candidates))
@@ -785,21 +886,7 @@ def select_top_k(
         source=dict(source_info) if source_info is not None else None,
     )
     if events is not None:
-        for record in sorted(
-            provenance_records.values(), key=lambda r: r.rank
-        ):
-            fields = {"node_id": record.node_id, "rank": record.rank}
-            for name in ("m", "q", "w", "score", "ltr_score"):
-                value = getattr(record, name)
-                if value is not None:
-                    fields[name] = value
-            events.emit("score", table=table.name, **fields)
-        events.emit(
-            "rank", table=table.name, k=k,
-            chart_ids=[node_id(n) for n in top],
-        )
-        if cache is not None:
-            cache.emit_events(events, table=table.name)
+        _emit_run_events(events, table.name, k, result, pruning, cache)
     if cache is not None:
         if hasattr(cache, "store"):
             cache.store("results", key, result, disk=disk_stable)

@@ -53,6 +53,11 @@ _TEMPORAL_FORMATS = (
     "%H:%M",
 )
 
+#: Formats tried on strings shaped "YYYY-MM-DD HH:MM:SS.f..." (how
+#: ``str(datetime)`` writes sub-second timestamps).  Other strings never
+#: try the fractional format, so they pay no extra ``strptime`` call.
+_FRACTIONAL_FORMATS = ("%Y-%m-%d %H:%M:%S.%f",) + _TEMPORAL_FORMATS
+
 #: Year assumed for formats that lack one (e.g. "01-Jan 00:05").
 _DEFAULT_YEAR = 2015
 
@@ -76,7 +81,8 @@ def parse_temporal(value) -> Optional[_dt.datetime]:
     text = value.strip()
     if not text:
         return None
-    for fmt in _TEMPORAL_FORMATS:
+    fractional = text[19:20] == "." and text[13:14] == text[16:17] == ":"
+    for fmt in _FRACTIONAL_FORMATS if fractional else _TEMPORAL_FORMATS:
         try:
             parsed = _dt.datetime.strptime(text, fmt)
         except ValueError:

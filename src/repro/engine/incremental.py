@@ -16,23 +16,26 @@ append costs work proportional to the *delta*, not the table:
    sequential per-row fold, so continuing it over a suffix is *bitwise*
    equal to refolding from scratch.  AVG re-derives from the merged
    sums and counts with the kernel's exact expression.
-3. **Features and scores** recompute only where inputs moved: column
-   statistics (``d(X)``, min/max) are maintained incrementally and
-   injected into the enumeration context's feature cache level, and
-   each chart's raw matching quality M(v) is reused from a per-chart
-   cache whenever its feature vector and plotted series are unchanged.
-   The top-k comes out of a bounded ``heapq.nsmallest`` selection over
-   the weight-aware S(v) scores instead of a full sort.
+3. **Features** recompute only where inputs moved: column statistics
+   (``d(X)``, min/max) are maintained incrementally and injected into
+   the enumeration context's feature cache level.
+
+Each epoch then enumerates over that pre-populated
+:class:`~repro.core.enumeration.EnumerationContext` and runs
+:func:`~repro.core.selection.select_top_k`'s own recognize and rank
+phases — there is no second copy of the validity filter, the fallback,
+the factor scoring or the top-k sort.  The one difference is the raw
+matching-quality memo the session hands those phases: it lives across
+epochs, so a chart's M(v) is recomputed only when its feature vector
+or plotted series moved.
 
 **Byte-identity is the contract, not an aspiration.**  Every append
 produces exactly the top-k (chart ids *and* scores) that a from-scratch
-:func:`~repro.core.selection.select_top_k` over the grown table would —
-the session reuses the very same enumeration/recognition/ranking code
-paths through a fresh :class:`~repro.core.enumeration.EnumerationContext`
-whose private caches are pre-populated with the incrementally
-maintained, bit-exact values.  Quantities that cannot be continued
-bit-exactly (raw column correlations use pairwise summation) are simply
-left for the context to recompute.  :meth:`IncrementalSession.verify`
+:func:`~repro.core.selection.select_top_k` over the grown table would:
+the pre-populated context caches hold incrementally maintained,
+bit-exact values, and quantities that cannot be continued bit-exactly
+(raw column correlations use pairwise summation) are simply left for
+the context to recompute.  :meth:`IncrementalSession.verify`
 replays the scratch pipeline and gates the comparison through
 :func:`repro.obs.drift.classify_drift`, raising
 :class:`IncrementalDriftError` on anything but ``identical``.
@@ -48,26 +51,19 @@ merge/rebuild/reuse rates.
 
 from __future__ import annotations
 
-import heapq
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..core import selection
 from ..core.enumeration import (
     EnumerationConfig,
     EnumerationContext,
     enumerate_candidates,
 )
 from ..core.features import ColumnFeatures
-from ..core.partial_order import (
-    FactorScores,
-    PartialOrderScorer,
-    matching_quality_raw,
-)
-from ..core.ranking import weight_aware_scores_from_factors
-from ..core.selection import SelectionResult, _flat_cache_stats, select_top_k
+from ..core.selection import SelectionResult, select_top_k
 from ..dataset.column import Column, ColumnType
 from ..dataset.table import Table
 from ..errors import SelectionError, ValidationError
@@ -75,7 +71,7 @@ from ..language.ast import AggregateOp
 from ..language.binning import TransformResult, merge_delta
 from ..obs import maybe_span
 from ..obs.context import request_scope
-from ..obs.drift import classify_drift, entry_from_result, node_id
+from ..obs.drift import classify_drift, entry_from_result
 from ..obs.kernels import KERNEL_STATS
 
 __all__ = ["IncrementalSession", "AppendReport", "IncrementalDriftError"]
@@ -224,21 +220,6 @@ class _ColumnState:
         )
 
 
-@dataclass(eq=False)
-class _EpochRun:
-    """One epoch's pipeline output (shared by init and append)."""
-
-    result: SelectionResult
-    valid_nodes: List[Any]
-    factors: List[FactorScores]
-    values: List[float]
-    top: List[int]
-    top_scores: List[float]
-    raw_m_reused: int
-    raw_m_computed: int
-    pruning: Any
-
-
 # ----------------------------------------------------------------------
 # The session
 # ----------------------------------------------------------------------
@@ -284,15 +265,14 @@ class IncrementalSession:
         self._metrics = metrics
         self._events = events
         self._auto_verify = auto_verify
-        self._scorer = PartialOrderScorer()
         self._subscribers: List[Callable[[AppendReport], None]] = []
 
         self._transform_state: Dict[Any, _TransformState] = {}
         self._agg_keys: Set[Tuple[Any, str, AggregateOp]] = set()
         self._column_state: Dict[str, _ColumnState] = {}
-        # node_id -> (features, y_values, raw M); reused only when both
-        # guards are unchanged, so a stale value can never be served.
-        self._raw_m_cache: Dict[str, Tuple[Any, Tuple[float, ...], float]] = {}
+        # Raw M(v) across epochs, reused only while a chart's features
+        # and plotted series are unchanged.
+        self._raw_m = selection._MatchingMemo()
 
         self.table = table
         self.epoch = 0
@@ -313,17 +293,17 @@ class IncrementalSession:
                 self._tracer, "incremental_init",
                 table=table.name, rows=table.num_rows, k=k,
             ):
-                run = self._pipeline(ctx, timings)
+                result, top_scores, _ = self._pipeline(ctx, timings)
             self._harvest(ctx)
             self._column_state = {
                 column.name: _ColumnState.of(column)
                 for column in table.columns
             }
-            self._result = run.result
+            self._result = result
             self._entry = entry_from_result(
-                table.name, fingerprint, run.result, scores=run.top_scores
+                table.name, fingerprint, result, scores=top_scores
             )
-            self._emit_pipeline_events(run, timings, drift=None, merge_log=())
+            self._emit_epoch_events(result, ctx.pruning)
         if auto_verify:
             self.verify()
 
@@ -403,9 +383,8 @@ class IncrementalSession:
                     ctx = EnumerationContext(
                         new_table, self.config, cache=self.cache
                     )
-                    start = time.perf_counter()
-                    with maybe_span(
-                        self._tracer, "merge", table=new_table.name
+                    with selection._timed_phase(
+                        self._tracer, timings, "merge"
                     ):
                         delta_columns = {
                             column.name: Column(
@@ -428,12 +407,13 @@ class IncrementalSession:
                                 ctx._aggregates[key] = state.aggregated(
                                     op, y_name
                                 )
-                    timings["merge"] = time.perf_counter() - start
 
-                    run = self._pipeline(ctx, timings)
+                    result, top_scores, computed = self._pipeline(
+                        ctx, timings
+                    )
                     if root is not None:
-                        root.set("candidates", run.result.candidates)
-                        root.set("valid", run.result.valid)
+                        root.set("candidates", result.candidates)
+                        root.set("valid", result.valid)
             except Exception as exc:
                 if self._events is not None:
                     self._events.emit(
@@ -444,14 +424,14 @@ class IncrementalSession:
             self._harvest(ctx)
 
             new_entry = entry_from_result(
-                new_table.name, new_fp, run.result, scores=run.top_scores
+                new_table.name, new_fp, result, scores=top_scores
             )
             drift = classify_drift(
                 self._entry, new_entry, compare_fingerprints=False
             )
             self.table = new_table
             self.epoch += 1
-            self._result = run.result
+            self._result = result
             self._entry = new_entry
 
             actions = [entry["action"] for entry in merge_log]
@@ -460,18 +440,16 @@ class IncrementalSession:
                 appended_rows=len(materialized),
                 total_rows=new_table.num_rows,
                 fingerprint=new_fp,
-                result=run.result,
+                result=result,
                 drift=drift,
                 transforms_merged=actions.count("merged"),
                 transforms_rebuilt=actions.count("rebuilt"),
                 transforms_invalidated=actions.count("invalidated"),
-                raw_m_reused=run.raw_m_reused,
-                raw_m_computed=run.raw_m_computed,
+                raw_m_reused=result.candidates - computed,
+                raw_m_computed=computed,
                 timings=dict(timings),
             )
-            self._emit_pipeline_events(
-                run, timings, drift=drift, merge_log=merge_log
-            )
+            self._emit_epoch_events(result, ctx.pruning, report, merge_log)
             self._record_metrics(report)
         if report.churned:
             for callback in list(self._subscribers):
@@ -632,143 +610,81 @@ class IncrementalSession:
     # ------------------------------------------------------------------
     # Pipeline over a (pre-populated) context
     # ------------------------------------------------------------------
-    def _raw_matching_quality(self, node) -> Tuple[float, bool]:
-        """Cached raw M(v), guarded by (features, plotted series)."""
-        chart_id = node_id(node)
-        y_values = node.data.y_values
-        hit = self._raw_m_cache.get(chart_id)
-        if hit is not None and hit[0] == node.features and hit[1] == y_values:
-            return hit[2], True
-        value = matching_quality_raw(node)
-        self._raw_m_cache[chart_id] = (node.features, y_values, value)
-        return value, False
-
     def _pipeline(
         self, ctx: EnumerationContext, timings: Dict[str, float]
-    ) -> _EpochRun:
-        """Enumerate / recognize / rank over ``ctx``, reusing cached raw
-        M(v) and selecting the top-k with a bounded heap.  Mirrors the
-        scratch pipeline decision-for-decision (same fallback when the
-        expert filter rejects everything, same sort key), so the output
-        is byte-identical to :func:`select_top_k`'s."""
-        table = ctx.table
-        start = time.perf_counter()
-        with maybe_span(self._tracer, "enumerate", table=table.name):
+    ) -> Tuple[SelectionResult, List[float], int]:
+        """One epoch's selection over the pre-populated ``ctx``.
+
+        Enumerates through the context, then runs
+        :func:`~repro.core.selection.select_top_k`'s recognize and rank
+        phases with the session's cross-epoch M(v) memo.  Returns the
+        result, the S(v) scores of its top-k, and how many raw M(v)
+        values the memo had to compute this epoch.
+        """
+        with selection._timed_phase(self._tracer, timings, "enumerate"):
             candidates = enumerate_candidates(
-                table, self.enumeration, self.config, ctx
+                ctx.table, self.enumeration, self.config, ctx
             )
-        timings["enumerate"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        reused = computed = 0
-        raw_m_all: List[float] = []
-        with maybe_span(self._tracer, "recognize", table=table.name):
-            for node in candidates:
-                value, was_cached = self._raw_matching_quality(node)
-                raw_m_all.append(value)
-                if was_cached:
-                    reused += 1
-                else:
-                    computed += 1
-            valid_indices = [i for i, m in enumerate(raw_m_all) if m > 0]
-            if valid_indices:
-                valid_nodes = [candidates[i] for i in valid_indices]
-                raw_m_valid = [raw_m_all[i] for i in valid_indices]
-            else:
-                # The shared fallback: surface the least-bad charts.
-                valid_nodes = list(candidates)
-                raw_m_valid = raw_m_all
-        timings["recognize"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        with maybe_span(self._tracer, "rank", table=table.name):
-            factors = (
-                self._scorer.score(valid_nodes, raw_m=raw_m_valid)
-                if valid_nodes
-                else []
-            )
-            values = weight_aware_scores_from_factors(factors)
-            composite = [(f.m + f.q + f.w) / 3.0 for f in factors]
-            # heapq.nsmallest(k, ..., key) is documented-equivalent to
-            # sorted(...)[:k]; the total (score, composite, index) key
-            # makes the truncated selection identical to the full sort.
-            top = heapq.nsmallest(
-                self.k,
-                range(len(valid_nodes)),
-                key=lambda i: (-values[i], -composite[i], i),
-            )
-        timings["rank"] = time.perf_counter() - start
-
+        computed_before = self._raw_m.computed
+        valid_nodes, order, trace = selection._recognize_and_rank(
+            candidates, None, None, "partial_order", None,
+            self.graph_strategy, self._raw_m, True, self._tracer, timings,
+        )
+        top = order[:self.k]
         result = SelectionResult(
             nodes=[valid_nodes[i] for i in top],
-            order=list(top),
+            order=order,
             candidates=len(candidates),
             valid=len(valid_nodes),
             timings=dict(timings),
             cache_stats=(
-                _flat_cache_stats(self.cache) if self.cache is not None else {}
+                selection._flat_cache_stats(self.cache)
+                if self.cache is not None
+                else {}
+            ),
+            provenance=(
+                selection._build_provenance(
+                    valid_nodes, order, self.k, trace, None, ctx.pruning
+                )
+                if self._events is not None
+                else {}
             ),
         )
-        return _EpochRun(
-            result=result,
-            valid_nodes=valid_nodes,
-            factors=factors,
-            values=values,
-            top=list(top),
-            top_scores=[float(values[i]) for i in top],
-            raw_m_reused=reused,
-            raw_m_computed=computed,
-            pruning=ctx.pruning,
-        )
+        top_scores = [float(trace["po_scores"][i]) for i in top]
+        return result, top_scores, self._raw_m.computed - computed_before
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def _emit_pipeline_events(
+    def _emit_epoch_events(
         self,
-        run: _EpochRun,
-        timings: Dict[str, float],
-        drift: Optional[Dict[str, Any]],
-        merge_log: Sequence[Dict[str, Any]],
+        result: SelectionResult,
+        pruning,
+        report: Optional[AppendReport] = None,
+        merge_log: Sequence[Dict[str, Any]] = (),
     ) -> None:
+        """The epoch's ``delta`` events (appends only), then the
+        pipeline events every selection emits."""
         if self._events is None:
             return
         events = self._events
         table_name = self._entry["table"]
         for entry in merge_log:
             events.emit("delta", table=table_name, **entry)
-        if drift is not None:
-            actions = [entry["action"] for entry in merge_log]
+        if report is not None:
             events.emit(
                 "delta", table=table_name, summary=True,
-                merged=actions.count("merged"),
-                rebuilt=actions.count("rebuilt"),
-                invalidated=actions.count("invalidated"),
-                raw_m_reused=run.raw_m_reused,
-                raw_m_computed=run.raw_m_computed,
-                drift=drift["kind"],
+                merged=report.transforms_merged,
+                rebuilt=report.transforms_rebuilt,
+                invalidated=report.transforms_invalidated,
+                raw_m_reused=report.raw_m_reused,
+                raw_m_computed=report.raw_m_computed,
+                drift=report.drift["kind"],
             )
-        for phase, seconds in timings.items():
-            events.emit(
-                "phase", phase=phase, table=table_name, seconds=seconds,
-            )
-        for rule, count in sorted(run.pruning.pruned.items()):
-            events.emit("prune", table=table_name, rule=rule, count=count)
-        for position, index in enumerate(run.top, start=1):
-            factor = run.factors[index]
-            events.emit(
-                "score", table=table_name,
-                node_id=node_id(run.valid_nodes[index]), rank=position,
-                m=float(factor.m), q=float(factor.q), w=float(factor.w),
-                score=float(run.values[index]),
-            )
-        events.emit(
-            "rank", table=table_name, k=self.k,
-            chart_ids=[node_id(run.valid_nodes[i]) for i in run.top],
+        selection._emit_run_events(
+            events, table_name, self.k, result, pruning, self.cache,
             epoch=self.epoch,
         )
-        if self.cache is not None and hasattr(self.cache, "emit_events"):
-            self.cache.emit_events(events, table=table_name)
 
     def _record_metrics(self, report: AppendReport) -> None:
         if self._metrics is None:

@@ -49,6 +49,7 @@ from ..core.enumeration import (
 from ..core.nodes import VisualizationNode
 from ..core.partial_order import matching_quality_raw
 from ..core.rules import PruningCounters
+from ..core.selection import _validity
 from ..dataset.table import Table
 from ..errors import SelectionError
 from ..obs import MetricsRegistry
@@ -163,20 +164,6 @@ def _normalise_mode(mode: str) -> str:
 # ----------------------------------------------------------------------
 # Per-column enumeration + recognition (the unit of intra-table fan-out)
 # ----------------------------------------------------------------------
-def _valid_mask(nodes: Sequence[VisualizationNode], recognizer) -> List[bool]:
-    """Good/bad verdict per node: trained classifier, or expert M(v) > 0.
-
-    Both predicates are per-node, so computing them over a per-column
-    slice gives the same mask the serial pipeline computes over the full
-    candidate list.
-    """
-    if not nodes:
-        return []
-    if recognizer is not None:
-        return [bool(v) for v in recognizer.predict(nodes)]
-    return [matching_quality_raw(node) > 0 for node in nodes]
-
-
 _ColumnSlice = Tuple[
     Tuple[List[VisualizationNode], ...],
     Tuple[List[bool], ...],
@@ -204,7 +191,9 @@ def _column_slice(
         )
     else:
         parts = exhaustive_for_column(ctx, x_name, counters)
-    masks = tuple(_valid_mask(part, recognizer) for part in parts)
+    masks = tuple(
+        _validity(part, recognizer, matching_quality_raw) for part in parts
+    )
     return parts, masks, counters, time.perf_counter() - start, _worker_label()
 
 

@@ -33,6 +33,27 @@ class TestSelectTopK:
         for node in result.nodes:
             assert matching_quality_raw(node) > 0
 
+    def test_matching_quality_computed_once_per_candidate(
+        self, flights_table, monkeypatch
+    ):
+        # The recognize phase's M(v) values feed the rank phase's
+        # factor scoring; neither phase recomputes what the other had.
+        import repro.core.partial_order as partial_order
+        import repro.core.selection as selection
+
+        calls = []
+
+        def counting(node, *args, **kwargs):
+            calls.append(id(node))
+            return matching_quality_raw(node, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "matching_quality_raw", counting)
+        monkeypatch.setattr(partial_order, "matching_quality_raw", counting)
+        result = select_top_k(flights_table, k=5)
+        assert result.valid < result.candidates  # both phases did work
+        assert len(calls) == result.candidates
+        assert len(set(calls)) == len(calls)
+
     def test_exhaustive_mode_has_more_candidates(self, flights_table):
         rules = select_top_k(flights_table, k=2, enumeration="rules")
         exhaustive = select_top_k(flights_table, k=2, enumeration="exhaustive")

@@ -59,3 +59,22 @@ def test_read_empty_csv_raises(tmp_path):
     path.write_text("")
     with pytest.raises(DatasetError):
         read_csv(path)
+
+
+def test_fractional_second_timestamps_roundtrip_as_temporal(tmp_path):
+    # write_csv renders sub-second datetimes as "YYYY-MM-DD HH:MM:SS.ffffff";
+    # read_csv must infer them back as temporal, so the charts a CSV
+    # yields are the charts of the in-memory table.
+    from repro.core import select_top_k
+    from repro.corpus.generators import make_table
+    from repro.obs.drift import node_id
+
+    table = make_table("FlyDelay", scale=0.02, seed=401)
+    path = tmp_path / "flydelay.csv"
+    write_csv(table, path)
+    assert "." in path.read_text().splitlines()[1]
+    loaded = read_csv(path, name=table.name)
+    assert loaded.column("scheduled").ctype is ColumnType.TEMPORAL
+    expected = select_top_k(table, k=10).nodes
+    actual = select_top_k(loaded, k=10).nodes
+    assert [node_id(n) for n in actual] == [node_id(n) for n in expected]

@@ -103,6 +103,30 @@ class TestByteIdentity:
         assert session.verify()["kind"] == "identical"
 
 
+class TestSharedPipeline:
+    def test_append_runs_select_top_k_phases(self, monkeypatch):
+        import repro.core.selection as selection
+
+        seen = []
+        for name in ("_recognize_phase", "_rank_phase"):
+            phase = getattr(selection, name)
+
+            def spy(*args, _name=name, _phase=phase, **kwargs):
+                seen.append(_name)
+                return _phase(*args, **kwargs)
+
+            monkeypatch.setattr(selection, name, spy)
+        session = IncrementalSession(_living_table(), k=5)
+        assert seen == ["_recognize_phase", "_rank_phase"]
+        seen.clear()
+        report = session.append(_rows(1, 40))
+        assert seen == ["_recognize_phase", "_rank_phase"]
+        assert report.raw_m_reused + report.raw_m_computed == (
+            report.result.candidates
+        )
+        assert session.verify()["kind"] == "identical"
+
+
 class TestAppendReport:
     def test_report_shape(self):
         session = IncrementalSession(_living_table(), k=3)
@@ -245,9 +269,8 @@ class TestCacheInterplay:
         assert session.verify()["kind"] == "identical"
 
     def test_session_never_stores_result_level_entries(self):
-        # SelectionResult from a session has truncated order (top-k
-        # selection, not a full sort) — publishing it at the results
-        # level would poison select_top_k's result cache.
+        # Results-level entries are written by select_top_k calls only;
+        # the session shares its merged transforms, not whole answers.
         cache = MultiLevelCache()
         session = IncrementalSession(_living_table(), k=3, cache=cache)
         session.append(_rows(18, 30))
