@@ -349,7 +349,7 @@ class MultiLevelCache:
             ).set(disk_stats["bytes"])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        disk = "" if self.disk is None else f", disk={self.disk.entry_count()}"
+        disk = "" if self.disk is None else f", disk={self.disk.stats()['size']}"
         return (
             f"MultiLevelCache(transforms={len(self.transforms)}, "
             f"features={len(self.features)}, results={len(self.results)}"

@@ -30,6 +30,10 @@ Design constraints, and how each is met:
 * **size-bounded** — an approximate byte budget triggers
   oldest-first (mtime) eviction; hits refresh mtime so hot entries
   survive;
+* **O(1) to report** — the tier keeps a running entry count and byte
+  total (seeded by one directory walk, moved by each put, corrupt-entry
+  reclaim and eviction), so :meth:`DiskCacheTier.stats`, which every
+  warm hit reads, never walks the directory;
 * **pre-warmable** — :meth:`DiskCacheTier.prewarm` loads the hottest
   entries back into the in-memory LRU levels on startup, so a restarted
   server's first requests hit L1-L3 rather than paying even the disk
@@ -186,8 +190,10 @@ class DiskCacheTier:
         self._counters: Dict[str, Dict[str, int]] = {
             level: self._zero_counters() for level in self.LEVELS
         }
-        #: Running estimate of on-disk bytes; seeded lazily by a scan on
-        #: the first put so construction stays O(1).
+        #: Running estimates of on-disk entries and bytes; seeded lazily
+        #: (by the first ``stats()``/``put()`` walk, or free from the
+        #: walk ``prewarm()`` already does) so construction stays O(1).
+        self._approx_entries: Optional[int] = None
         self._approx_bytes: Optional[int] = None
 
     @staticmethod
@@ -227,10 +233,13 @@ class DiskCacheTier:
         if value is None:
             self._count(level, "errors")
             self._count(level, "misses")
-            try:  # a corrupt entry will never validate; reclaim it
-                os.remove(path)
-            except OSError:
-                pass
+            with self._lock:
+                try:  # a corrupt entry will never validate; reclaim it
+                    os.remove(path)
+                except OSError:
+                    pass
+                else:
+                    self._move_totals(-1, -len(blob))
             return None
         if self.touch_on_hit:
             try:
@@ -290,7 +299,22 @@ class DiskCacheTier:
             try:
                 with os.fdopen(fd, "wb") as handle:
                     handle.write(blob)
-                os.replace(tmp_path, path)
+                # Publish and move the totals under one lock, so this
+                # process's writers never double-count an overwrite.
+                with self._lock:
+                    try:
+                        replaced: Optional[int] = os.stat(path).st_size
+                    except OSError:
+                        replaced = None
+                    os.replace(tmp_path, path)
+                    if replaced is None:
+                        self._move_totals(1, len(blob))
+                    else:
+                        self._move_totals(0, len(blob) - replaced)
+                    over_budget = (
+                        self.max_bytes is not None
+                        and self._approx_bytes > self.max_bytes
+                    )
             except BaseException:
                 try:
                     os.remove(tmp_path)
@@ -300,24 +324,36 @@ class DiskCacheTier:
         except OSError:
             return False
         self._count(level, "stores")
-        with self._lock:
-            if self._approx_bytes is None:
-                self._approx_bytes = self._scan_bytes()
-            else:
-                self._approx_bytes += len(blob)
-            over_budget = (
-                self.max_bytes is not None
-                and self._approx_bytes > self.max_bytes
-            )
         if over_budget:
             self._evict_to_budget()
         return True
 
+    # -- running totals (callers hold ``_lock``) ------------------------
+    def _seed_totals(self) -> None:
+        """Seed the running totals from one walk, the first time they
+        are needed."""
+        if self._approx_entries is None:
+            entries = self._entries()
+            self._approx_entries = len(entries)
+            self._approx_bytes = sum(size for _, _, size in entries)
+
+    def _move_totals(self, entries: int, nbytes: int) -> None:
+        """Move the running totals by a net change already on disk (an
+        unseeded tier seeds instead: its walk already sees the change)."""
+        if self._approx_entries is None:
+            self._seed_totals()
+        else:
+            self._approx_entries += entries
+            self._approx_bytes += nbytes
+
     # -- eviction -------------------------------------------------------
-    def _entries(self) -> List[Tuple[str, float, int]]:
-        """All entry files as ``(path, mtime, size)`` (best effort)."""
+    def _entries(
+        self, levels: Optional[Iterable[str]] = None
+    ) -> List[Tuple[str, float, int]]:
+        """Entry files of ``levels`` (default: all persisted levels) as
+        ``(path, mtime, size)`` (best effort)."""
         found: List[Tuple[str, float, int]] = []
-        for level in self.levels:
+        for level in self.levels if levels is None else levels:
             level_dir = os.path.join(self.version_dir, level)
             if not os.path.isdir(level_dir):
                 continue
@@ -333,14 +369,13 @@ class DiskCacheTier:
                     found.append((path, stat.st_mtime, stat.st_size))
         return found
 
-    def _scan_bytes(self) -> int:
-        return sum(size for _, _, size in self._entries())
-
     def _evict_to_budget(self) -> None:
-        """Remove oldest-mtime entries until back under ``max_bytes``."""
+        """Remove oldest-mtime entries until back under ``max_bytes``,
+        re-syncing the running totals from this scan."""
         if self.max_bytes is None:
             return
         entries = sorted(self._entries(), key=lambda e: e[1])
+        count = len(entries)
         total = sum(size for _, _, size in entries)
         for path, _mtime, size in entries:
             if total <= self.max_bytes:
@@ -349,9 +384,11 @@ class DiskCacheTier:
                 os.remove(path)
             except OSError:
                 continue
+            count -= 1
             total -= size
             self._count(self._level_of(path), "evictions")
         with self._lock:
+            self._approx_entries = count
             self._approx_bytes = total
 
     def _level_of(self, path: str) -> str:
@@ -376,6 +413,7 @@ class DiskCacheTier:
                     except OSError:
                         pass
         with self._lock:
+            self._approx_entries = 0
             self._approx_bytes = 0
         return removed
 
@@ -396,25 +434,33 @@ class DiskCacheTier:
 
     def total_bytes(self) -> int:
         """Actual on-disk bytes across all entries (rescans)."""
-        total = self._scan_bytes()
-        with self._lock:
-            self._approx_bytes = total
-        return total
+        return sum(size for _, _, size in self._entries())
 
     def stats(self) -> Dict[str, int]:
         """Aggregate ``{hits, misses, stores, evictions, errors, size,
         bytes}`` across the persisted levels — the shape
         ``MultiLevelCache.stats_by_level`` surfaces as its ``disk``
         entry (``size`` counts on-disk entries so the CLI cache report
-        reads uniformly across levels)."""
+        reads uniformly across levels).
+
+        ``size`` and ``bytes`` are this tier's running estimate, not a
+        rescan: one walk seeds them (the first ``stats()`` or ``put()``,
+        or ``prewarm()``'s own walk), and puts, corrupt-entry reclaims,
+        evictions and :meth:`clear` move them, so they are exact for a
+        single writer.  Other processes' writes show up after the next
+        eviction scan (which re-syncs both) or in a fresh tier.  For an
+        exact rescan use :meth:`entry_count` and :meth:`total_bytes`.
+        """
         with self._lock:
             merged = self._zero_counters()
             for counters in self._counters.values():
                 for name, value in counters.items():
                     merged[name] += value
-        merged["size"] = self.entry_count()
-        merged["bytes"] = self._scan_bytes()
+            self._seed_totals()
+            merged["size"] = self._approx_entries
+            merged["bytes"] = self._approx_bytes
         return merged
+
 
     def stats_by_level(self) -> Dict[str, Dict[str, int]]:
         """This process's per-level L4 counters."""
@@ -444,29 +490,25 @@ class DiskCacheTier:
         so its first requests hit memory, not disk.
         """
         loaded: Dict[str, int] = {}
+        # When every level is walked, the walk seeds the running totals.
+        walked = walked_bytes = 0
+        walked_all = True
         for level in self.levels:
             lru = getattr(cache, level, None)
             if lru is None:
+                walked_all = False
                 continue
             budget = per_level if per_level is not None else lru.maxsize
             if budget <= 0:
                 loaded[level] = 0
+                walked_all = False
                 continue
-            level_dir = os.path.join(self.version_dir, level)
-            files: List[Tuple[str, float]] = []
-            if os.path.isdir(level_dir):
-                for root, _dirs, names in os.walk(level_dir):
-                    for name in names:
-                        if not name.endswith(".entry") or name.startswith("."):
-                            continue
-                        path = os.path.join(root, name)
-                        try:
-                            files.append((path, os.stat(path).st_mtime))
-                        except OSError:
-                            continue
+            files = self._entries((level,))
+            walked += len(files)
+            walked_bytes += sum(size for _, _, size in files)
             files.sort(key=lambda item: item[1], reverse=True)
             count = 0
-            for path, _mtime in files[:budget]:
+            for path, _mtime, _size in files[:budget]:
                 try:
                     with open(path, "rb") as handle:
                         blob = handle.read()
@@ -480,16 +522,22 @@ class DiskCacheTier:
                 lru.put(memory_key, value)
                 count += 1
             loaded[level] = count
+        if walked_all:
+            with self._lock:
+                if self._approx_entries is None:
+                    self._approx_entries = walked
+                    self._approx_bytes = walked_bytes
         return loaded
 
     # -- pickling (locks cannot cross process boundaries) ---------------
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         del state["_lock"]
-        # Workers keep their own hit/miss accounting and byte estimate.
+        # Workers keep their own hit/miss accounting and size estimate.
         state["_counters"] = {
             level: self._zero_counters() for level in self.LEVELS
         }
+        state["_approx_entries"] = None
         state["_approx_bytes"] = None
         return state
 

@@ -8,14 +8,21 @@ health story the ROADMAP's ``repro.serve`` front-end will consume:
 
 * :class:`SLOMonitor` — a set of named :class:`SLO` objectives, each
   evaluated over several rolling windows at once.  Every request
-  outcome is recorded as (timestamp, good/bad); compliance per window
-  is the good fraction, and the **burn rate** is how fast the error
+  outcome is recorded as (timestamp, good/bad) into a per-second
+  ``(total, good)`` bucket; compliance per window is the good
+  fraction, and the **burn rate** is how fast the error
   budget is being spent: ``burn = (1 - compliance) / (1 - target)``,
   so burn 1.0 exactly exhausts the budget over the objective period
   and burn 14 is a page.  An alert fires only when *every* configured
   window burns past its threshold — the multi-window multi-burn-rate
   rule that keeps one slow request from paging while still catching
-  sustained regressions fast.
+  sustained regressions fast.  Each window keeps a running sum that
+  buckets enter on record and leave as they age out, so recording and
+  judging cost O(windows) however heavy the traffic, and an
+  objective's memory is bounded by its longest window in seconds, not
+  by request count.  Window membership therefore resolves to whole
+  seconds: an outcome at ``t`` counts while ``floor(t) >= now -
+  window``.
 * :class:`RuntimeSampler` — a periodic daemon that samples process
   vitals (RSS from ``/proc/self/statm``, GC generation counts, live
   thread count, and any registered queue-depth callables) into the
@@ -34,6 +41,7 @@ duck-typed — any registry with ``gauge()`` works).
 from __future__ import annotations
 
 import gc
+import math
 import os
 import threading
 import time
@@ -124,45 +132,91 @@ class SLOStatus:
         }
 
 
-class _Objective:
-    """Mutable tracking state behind one :class:`SLO` (ring of
-    timestamped outcomes, bounded by the longest window)."""
+#: Width of one outcome bucket, in seconds: the resolution of window
+#: membership.
+BUCKET_SECONDS = 1
 
-    __slots__ = ("slo", "outcomes", "total", "good", "lock")
+
+class _Objective:
+    """Mutable tracking state behind one :class:`SLO`.
+
+    Outcomes land in per-second ``[second, total, good]`` buckets,
+    oldest first, holding only seconds that saw traffic; a bucket is
+    dropped once the longest window has passed it, so at most
+    ``floor(longest window) + 1`` buckets are ever held.  Each window
+    keeps a running ``[first, total, good]``: the absolute index of its
+    oldest bucket (``dropped`` buckets precede ``buckets[0]``) and its
+    sums, moved as buckets enter and age out.  ``record`` and
+    ``status`` therefore cost O(windows) amortised, and nothing is
+    copied.  A clock step backwards lands in the newest bucket.
+    """
+
+    __slots__ = ("slo", "buckets", "dropped", "sums", "total", "good",
+                 "lock")
 
     def __init__(self, slo: SLO) -> None:
         self.slo = slo
-        self.outcomes: Deque[Tuple[float, bool]] = deque()
+        self.buckets: Deque[List[int]] = deque()
+        self.dropped = 0
+        self.sums: List[List[int]] = [[0, 0, 0] for _ in slo.windows]
         self.total = 0
         self.good = 0
         self.lock = threading.Lock()
 
     def record(self, now: float, is_good: bool) -> None:
-        horizon = max(window for window, _ in self.slo.windows)
+        second = math.floor(now / BUCKET_SECONDS) * BUCKET_SECONDS
+        good = int(is_good)
         with self.lock:
-            self.outcomes.append((now, is_good))
             self.total += 1
-            if is_good:
-                self.good += 1
-            cutoff = now - horizon
-            while self.outcomes and self.outcomes[0][0] < cutoff:
-                self.outcomes.popleft()
+            self.good += good
+            buckets = self.buckets
+            if not buckets or buckets[-1][0] < second:
+                buckets.append([second, 0, 0])
+            bucket = buckets[-1]
+            bucket[1] += 1
+            bucket[2] += good
+            newest = self.dropped + len(buckets) - 1
+            for sums in self.sums:
+                if sums[0] <= newest:  # the bucket is inside this window
+                    sums[1] += 1
+                    sums[2] += good
+            self._expire(now)
+
+    def _expire(self, now: float) -> None:
+        """Age buckets out of each window, then drop those every window
+        has passed (caller holds ``lock``)."""
+        buckets = self.buckets
+        end = self.dropped + len(buckets)
+        for (window, _), sums in zip(self.slo.windows, self.sums):
+            cutoff = now - window
+            first, total, good = sums
+            while first < end:
+                second, b_total, b_good = buckets[first - self.dropped]
+                if second >= cutoff:
+                    break
+                total -= b_total
+                good -= b_good
+                first += 1
+            sums[:] = (first, total, good)
+        oldest = min(sums[0] for sums in self.sums)
+        while self.dropped < oldest:
+            buckets.popleft()
+            self.dropped += 1
 
     def status(self, now: float) -> SLOStatus:
         slo = self.slo
         with self.lock:
-            outcomes = list(self.outcomes)
+            self._expire(now)
+            windows = [(total, good) for _, total, good in self.sums]
             total, good = self.total, self.good
         status = SLOStatus(
             name=slo.name, target=slo.target, total=total, good=good
         )
         budget = 1.0 - slo.target
         all_burning = True
-        for window, burn_threshold in slo.windows:
-            cutoff = now - window
-            in_window = [g for ts, g in outcomes if ts >= cutoff]
-            window_total = len(in_window)
-            window_good = sum(in_window)
+        for (window, burn_threshold), (window_total, window_good) in zip(
+            slo.windows, windows
+        ):
             compliance = (
                 window_good / window_total if window_total else 1.0
             )

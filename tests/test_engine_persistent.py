@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.core import select_top_k
+from repro.core import DeepEye, select_top_k
 from repro.dataset import Table
 from repro.engine import DiskCacheTier, MultiLevelCache
 from repro.engine.persistent import (
@@ -14,6 +14,7 @@ from repro.engine.persistent import (
     cache_key_signature,
 )
 from repro.language.ast import BinGranularity, BinByGranularity, GroupBy
+from repro.obs import EventLog, MetricsRegistry
 from repro.obs.drift import build_snapshot, diff_snapshots, entry_from_result
 
 
@@ -163,6 +164,117 @@ class TestDiskCacheTier:
         assert clone.directory == tier.directory
         assert clone.stats()["hits"] == 0  # worker-local accounting
         assert clone.get("transforms", ("fp", "k")) == "v"
+
+
+class TestRunningTotals:
+    """``stats()`` reports running totals, so each step that changes
+    the tier must move them exactly as a rescan would see it."""
+
+    @staticmethod
+    def _assert_in_sync(tier):
+        stats = tier.stats()
+        assert stats["size"] == tier.entry_count()
+        assert stats["bytes"] == tier.total_bytes()
+
+    def test_totals_track_every_kind_of_change(self, tmp_path):
+        tier = DiskCacheTier(tmp_path)
+        tier.put("features", ("fp", "a"), list(range(50)))
+        self._assert_in_sync(tier)  # seeded by the first put
+        tier.put("features", ("fp", "b"), list(range(80)))  # put new
+        self._assert_in_sync(tier)
+        tier.put("features", ("fp", "a"), list(range(200)))  # overwrite
+        self._assert_in_sync(tier)
+
+        path = tier._path("features", ("fp", "b"))
+        with open(path, "rb") as handle:
+            blob = bytearray(handle.read())
+        blob[-1] ^= 0xFF  # corrupt in place: checksum fails, size holds
+        with open(path, "wb") as handle:
+            handle.write(bytes(blob))
+        assert tier.get("features", ("fp", "b")) is None  # reclaimed
+        assert not os.path.exists(path)
+        self._assert_in_sync(tier)
+        assert tier.stats()["size"] == 1
+
+        tier.max_bytes = 3000
+        for i in range(20):  # evict under a small budget
+            tier.put("transforms", ("fp", f"k{i}"), list(range(100)))
+        assert tier.stats()["evictions"] > 0
+        self._assert_in_sync(tier)
+
+        tier.clear()
+        self._assert_in_sync(tier)
+        assert tier.stats()["size"] == 0
+
+    def test_overwrites_never_trigger_an_eviction_walk(
+        self, tmp_path, monkeypatch
+    ):
+        tier = DiskCacheTier(tmp_path)
+        tier.put("results", ("fp", "k"), list(range(100)))
+        tier.max_bytes = tier.total_bytes() + 64
+        walks = []
+        original = DiskCacheTier._evict_to_budget
+        monkeypatch.setattr(
+            DiskCacheTier, "_evict_to_budget",
+            lambda self: (walks.append(1), original(self)),
+        )
+        for _ in range(50):
+            assert tier.put("results", ("fp", "k"), list(range(100)))
+        assert walks == []
+        assert tier.stats()["bytes"] == tier.total_bytes()
+        assert tier.stats()["size"] == 1
+
+    def test_prewarm_seeds_the_totals_from_its_own_walk(
+        self, tmp_path, monkeypatch
+    ):
+        writer = DiskCacheTier(tmp_path)
+        for i in range(5):
+            writer.put("transforms", ("fp", f"k{i}"), i)
+        writer.put("results", ("fp", "r"), "result")
+        cache = MultiLevelCache(disk=DiskCacheTier(tmp_path))
+        cache.prewarm()
+        import repro.engine.persistent as persistent
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("stats() walked the cache directory")
+
+        monkeypatch.setattr(persistent.os, "walk", no_walk)
+        stats = cache.disk.stats()
+        assert stats["size"] == 6
+        assert "disk=6" in repr(cache)
+        monkeypatch.undo()
+        assert stats["bytes"] == cache.disk.total_bytes()
+
+
+class TestNoScanOnWarmHits:
+    def test_warm_hits_never_walk_the_disk_tier(
+        self, tmp_path, flights_table, monkeypatch
+    ):
+        filler = DeepEye(
+            ranking="partial_order", cache_dir=tmp_path, provenance=True
+        )
+        expected = filler.top_k(flights_table, k=3).nodes
+        server = DeepEye(
+            ranking="partial_order", cache_dir=tmp_path,
+            metrics=MetricsRegistry(), events=EventLog(), slo=True,
+        )
+        import repro.engine.persistent as persistent
+
+        walks = []
+        original_walk = persistent.os.walk
+
+        def counting_walk(*args, **kwargs):
+            walks.append(args)
+            return original_walk(*args, **kwargs)
+
+        monkeypatch.setattr(persistent.os, "walk", counting_walk)
+        first = server.top_k(flights_table, k=3)
+        assert first.nodes == expected
+        after_first = len(walks)
+        for _ in range(19):
+            assert server.top_k(flights_table, k=3).nodes == expected
+        assert len(walks) == after_first
+        assert server.cache.stats_by_level()["results"]["hits"] >= 19
 
 
 class TestMultiLevelIntegration:

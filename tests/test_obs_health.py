@@ -169,6 +169,63 @@ class TestBurnRates:
         assert "300.0" in payload["windows"]
 
 
+class TestBoundedState:
+    def test_buckets_bounded_by_the_longest_window(self):
+        clock = FakeClock()
+        monitor = SLOMonitor.with_default_objectives(clock=clock)
+        objectives = list(monitor._objectives.values())
+        horizon = max(window for window, _ in DEFAULT_WINDOWS)
+        most = 0
+        for i in range(100_000):  # two fake hours, one outcome per step
+            clock.advance(0.072)
+            monitor.record_latency("selection_latency", 0.3 * (i % 7 == 0))
+            monitor.record_outcome("selection_errors", i % 50 != 0)
+            monitor.record_outcome("cache_hit_rate", i % 3 != 0)
+            most = max(most, *(len(o.buckets) for o in objectives))
+        assert most <= int(horizon) + 1 == 3601
+        assert monitor.status("selection_errors").total == 100_000
+        # The hour window holds the last hour's outcomes only.
+        hour = monitor.status("selection_errors").windows[3600.0]
+        assert 3600 / 0.072 - 20 <= hour["total"] <= 3600 / 0.072 + 20
+
+    def test_whole_second_clock_matches_a_brute_force_recount(self):
+        import random
+
+        rng = random.Random(5)
+        clock = FakeClock(now=5000.0)
+        windows = ((60.0, 2.0), (300.0, 1.0), (7.0, 3.0))
+        monitor = SLOMonitor(
+            objectives=[SLO(name="errors", target=0.9, windows=windows)],
+            clock=clock,
+        )
+        recorded = []
+        for _ in range(2000):
+            clock.advance(float(rng.choice((0, 0, 1, 1, 2, 5, 40, 400))))
+            good = rng.random() < 0.8
+            recorded.append((clock.now, good))
+            monitor.record_outcome("errors", good)
+            status = monitor.status("errors")
+            assert status.total == len(recorded)
+            assert status.good == sum(g for _, g in recorded)
+            for window, _ in windows:
+                inside = [g for ts, g in recorded if ts >= clock.now - window]
+                assert status.windows[window]["total"] == len(inside)
+                assert status.windows[window]["good"] == sum(inside)
+
+    def test_window_membership_resolves_to_whole_seconds(self):
+        clock = FakeClock(now=1000.9)
+        monitor = SLOMonitor(
+            objectives=[SLO(name="errors", target=0.9,
+                            windows=((60.0, 2.0),))],
+            clock=clock,
+        )
+        monitor.record_outcome("errors", False)
+        clock.now = 1060.0  # floor(1000.9) >= 1060 - 60: still inside
+        assert monitor.status("errors").windows[60.0]["total"] == 1.0
+        clock.now = 1060.5  # 1000 < 1000.5: aged out
+        assert monitor.status("errors").windows[60.0]["total"] == 0.0
+
+
 class TestPipelineFeed:
     def test_engine_records_latency_errors_and_cache_hits(
         self, flights_table
