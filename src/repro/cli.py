@@ -46,7 +46,6 @@ from typing import Dict, List, Optional, Sequence
 
 from .core import keyword_search, make_node, select_top_k
 from .core.enumeration import EnumerationConfig
-from .corpus.generators import TESTING_SPECS, TRAINING_SPECS, make_table
 from .dataset import write_csv
 from .errors import ReproError
 from .obs import (
@@ -602,6 +601,8 @@ def _cmd_query(args, out) -> int:
 
 
 def _cmd_datasets(args, out) -> int:
+    from .corpus.generators import TESTING_SPECS, TRAINING_SPECS
+
     print("# testing datasets (Table IV)", file=out)
     for spec in TESTING_SPECS:
         print(f"  {spec.name}  ({spec.rows} rows, {spec.domain})", file=out)
@@ -612,6 +613,8 @@ def _cmd_datasets(args, out) -> int:
 
 
 def _cmd_generate(args, out) -> int:
+    from .corpus.generators import make_table
+
     table = make_table(args.name, scale=args.scale, seed=args.seed)
     write_csv(table, args.out)
     print(
@@ -659,6 +662,8 @@ def _snapshot_entries(
     exactly what the cache-persistence CI job asserts by diffing a
     snapshot against a disk-tier replay twice in separate processes.
     """
+    from .corpus.generators import TESTING_SPECS, make_table
+
     cache = None
     if cache_dir:
         from .engine import DiskCacheTier, MultiLevelCache

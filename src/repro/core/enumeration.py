@@ -49,7 +49,7 @@ from ..language.executor import (
     as_str_tuple,
 )
 from .correlation import correlation
-from .features import ColumnFeatures, FeatureVector, series_stats
+from .features import ColumnFeatures, FeatureVector, shape_stats, trend_r2
 from .nodes import VisualizationNode
 from .rules import (
     PruningCounters,
@@ -187,6 +187,10 @@ class EnumerationContext:
         self._transforms: Dict[Transform, TransformResult] = {}
         self._aggregates: Dict[Tuple[Transform, str, AggregateOp], np.ndarray] = {}
         self._transformed_corr: Dict[Tuple, float] = {}
+        # Per data variant (x, y, transform, op): the order-invariant
+        # statistics of F; per (variant, order): its trend R².
+        self._variant_stats: Dict[Tuple, Tuple] = {}
+        self._trend_r2: Dict[Tuple, float] = {}
 
     # -- cached primitives ---------------------------------------------
     def column_features(self, name: str) -> ColumnFeatures:
@@ -302,22 +306,26 @@ class EnumerationContext:
         )
 
     @staticmethod
-    def _order_data(data: ChartData, order: Optional[OrderBy]) -> ChartData:
+    def _chart_data(data: ChartData, query: VisQuery) -> ChartData:
+        """The variant's unordered ``data`` as ``query`` plots it."""
+        order = query.order
         if order is None or data.is_empty():
-            return data
+            return dataclasses.replace(data, query=query)
         keys = np.asarray(
             data.x_values if order.target is OrderTarget.X else data.y_values
         )
         permutation = np.argsort(keys, kind="stable")
         if order.descending:
             permutation = permutation[::-1]
+        positions = permutation.tolist()
         return dataclasses.replace(
             data,
-            x_labels=tuple(data.x_labels[i] for i in permutation)
+            query=query,
+            x_labels=tuple([data.x_labels[i] for i in positions])
             if data.x_labels
             else (),
-            x_values=tuple(data.x_values[i] for i in permutation),
-            y_values=tuple(data.y_values[i] for i in permutation),
+            x_values=tuple([data.x_values[i] for i in positions]),
+            y_values=tuple([data.y_values[i] for i in positions]),
         )
 
     def transformed_correlation(
@@ -337,8 +345,12 @@ class EnumerationContext:
         return self._transformed_corr[key]
 
     def build_node(self, query: VisQuery, data: ChartData) -> VisualizationNode:
-        """Assemble a node from cached parts (equivalent to make_node)."""
-        chart_data = dataclasses.replace(data, query=query)
+        """Assemble the node of ``query`` over its data variant.
+
+        ``data`` is the variant's unordered ChartData (``_base_data``);
+        the query's ordering is applied here.  Equivalent to make_node.
+        """
+        chart_data = self._chart_data(data, query)
         if self.cache is not None:
             key = (
                 self._cache_fp,
@@ -351,10 +363,10 @@ class EnumerationContext:
             )
             features = self._cache_get("features", key)
             if features is None:
-                features = self._measure_features(query, chart_data)
+                features = self._measure_features(query, chart_data, data)
                 self._cache_put("features", key, features)
         else:
-            features = self._measure_features(query, chart_data)
+            features = self._measure_features(query, chart_data, data)
         return VisualizationNode(
             query=query,
             data=chart_data,
@@ -362,26 +374,58 @@ class EnumerationContext:
             table_name=self.table.name,
         )
 
+    def _variant_statistics(self, key: Tuple, data: ChartData) -> Tuple:
+        """``(d(X'), d(Y'), min(Y'), entropy, spread)`` of a data variant.
+
+        All five are functions of the unordered data, so they are
+        measured once per variant, from the unordered ``data`` whichever
+        chart asks first.  ``min(Y')`` is ``None`` when Y' holds a NaN:
+        Python's ``min`` then depends on the order, so each ordering
+        measures its own.
+        """
+        stats = self._variant_stats.get(key)
+        if stats is None:
+            y = np.asarray(data.y_values, dtype=np.float64)
+            y_entropy, y_spread = shape_stats(y) if len(y) else (0.0, 0.0)
+            y_min = None if np.isnan(y).any() else data.y_min
+            stats = (data.distinct_x, data.distinct_y, y_min, y_entropy, y_spread)
+            self._variant_stats[key] = stats
+        return stats
+
     def _measure_features(
-        self, query: VisQuery, chart_data: ChartData
+        self, query: VisQuery, chart_data: ChartData, variant: ChartData
     ) -> FeatureVector:
-        """Measure the feature vector **F** of one candidate chart."""
-        y_entropy, y_spread, trend_r2 = series_stats(chart_data.y_values)
+        """Measure the feature vector **F** of one candidate chart.
+
+        ``chart_data`` is the ordered data the chart plots and
+        ``variant`` the unordered data it was ordered from.  Everything
+        but the trend R² is read from the per-variant statistics; the
+        trend is fitted once per (variant, order).
+        """
+        key = (query.x, query.y, query.transform, query.aggregate)
+        distinct_x, distinct_y, y_min, y_entropy, y_spread = (
+            self._variant_statistics(key, variant)
+        )
+        order_key = key + (query.order,)
+        r2 = self._trend_r2.get(order_key)
+        if r2 is None:
+            r2 = trend_r2(np.asarray(chart_data.y_values, dtype=np.float64))
+            self._trend_r2[order_key] = r2
         return FeatureVector(
             x=self.column_features(query.x),
             y=self.column_features(query.y),
             corr=self.raw_correlation(query.x, query.y),
             chart=query.chart,
             transformed_rows=chart_data.transformed_rows,
-            distinct_tx=chart_data.distinct_x,
-            distinct_ty=chart_data.distinct_y,
+            distinct_tx=distinct_x,
+            distinct_ty=distinct_y,
             corr_transformed=self.transformed_correlation(
                 query.x, query.y, query.transform, query.aggregate, chart_data
             ),
-            y_min_transformed=chart_data.y_min,
+            y_min_transformed=chart_data.y_min if y_min is None else y_min,
             y_entropy=y_entropy,
             y_spread=y_spread,
-            trend_r2=trend_r2,
+            trend_r2=r2,
         )
 
 
@@ -548,7 +592,7 @@ def _exhaustive_for_pair(
                         order=order,
                     )
                     counters.emit()
-                    nodes.append(ctx.build_node(query, ctx._order_data(data, order)))
+                    nodes.append(ctx.build_node(query, data))
     return nodes
 
 
@@ -637,9 +681,7 @@ def rule_based_for_pair(
             data = ctx._base_data(x_name, y_name, None, None)
             if data is not None and not data.is_empty():
                 counters.emit()
-                nodes.append(
-                    ctx.build_node(query, ctx._order_data(data, query.order))
-                )
+                nodes.append(ctx.build_node(query, data))
             else:
                 counters.prune("scatter_degenerate_data")
         else:
@@ -694,7 +736,7 @@ def rule_based_for_pair(
                 # The sorting rule fixes one canonical ordering where the
                 # exhaustive space tries all three (none / X / Y).
                 counters.prune("ordering_canonicalised", 2)
-                nodes.append(ctx.build_node(query, ctx._order_data(data, order)))
+                nodes.append(ctx.build_node(query, data))
     return nodes
 
 

@@ -13,6 +13,7 @@ every classifier in :mod:`repro.ml`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -22,7 +23,7 @@ from ..dataset.column import Column, ColumnType
 from ..dataset.table import Table
 from ..language.ast import ChartType, VisQuery
 from ..language.executor import ChartData
-from .correlation import correlation
+from .correlation import centred, correlation
 from .trend import fit_trend
 
 __all__ = [
@@ -31,8 +32,38 @@ __all__ = [
     "extract_features",
     "encode_features",
     "series_stats",
+    "shape_stats",
+    "trend_r2",
     "FEATURE_NAMES",
 ]
+
+
+def shape_stats(y: np.ndarray) -> Tuple[float, float]:
+    """``(normalised entropy, relative spread)`` of a non-empty series.
+
+    Both are functions of the multiset of values, not of their order,
+    so enumeration computes them once per data variant.  Shares are
+    filtered *after* dividing by the total: a subnormal magnitude can
+    underflow to an exact zero share, and ``0 · log 0`` would be NaN.
+    """
+    n = len(y)
+    magnitude = np.abs(y)
+    total = float(magnitude.sum())
+    if total > 0 and n > 1:
+        p = magnitude / total
+        p = p[p > 0]
+        y_entropy = float(-(p * np.log(p)).sum() / np.log(n))
+    else:
+        y_entropy = 0.0
+    mean_abs = total / n
+    # sqrt(Σdy²/n) is y.std() to the last bit.
+    y_spread = math.sqrt(centred(y)[1] / n) / mean_abs if mean_abs > 0 else 0.0
+    return y_entropy, min(y_spread, 5.0)
+
+
+def trend_r2(y: np.ndarray) -> float:
+    """The best trend family's R² (Eq. 4) of a series, in plotted order."""
+    return fit_trend(y, r2_threshold=0.0).r_squared if len(y) >= 3 else 0.0
 
 
 def series_stats(y_values: Sequence[float]) -> Tuple[float, float, float]:
@@ -45,17 +76,8 @@ def series_stats(y_values: Sequence[float]) -> Tuple[float, float, float]:
     y = np.asarray(y_values, dtype=np.float64)
     if len(y) == 0:
         return 0.0, 0.0, 0.0
-    magnitude = np.abs(y)
-    total = magnitude.sum()
-    if total > 0 and len(y) > 1:
-        p = magnitude[magnitude > 0] / total
-        y_entropy = float(-(p * np.log(p)).sum() / np.log(len(y)))
-    else:
-        y_entropy = 0.0
-    mean_abs = magnitude.mean()
-    y_spread = float(y.std() / mean_abs) if mean_abs > 0 else 0.0
-    trend_r2 = fit_trend(y, r2_threshold=0.0).r_squared if len(y) >= 3 else 0.0
-    return y_entropy, min(y_spread, 5.0), trend_r2
+    y_entropy, y_spread = shape_stats(y)
+    return y_entropy, y_spread, trend_r2(y)
 
 
 @dataclass(frozen=True)
@@ -89,6 +111,15 @@ class FeatureVector:
     ``|X'|``, ``d(X')``, ``d(Y')`` and ``c(X', Y')`` of the transformed
     data; these feed the partial-order factors and are kept here so each
     candidate is featurised exactly once.
+
+    Enumeration measures F once per data variant (x, y, transform,
+    aggregate), not per chart: ``distinct_tx``, ``distinct_ty``,
+    ``y_min_transformed``, ``y_entropy`` and ``y_spread`` do not depend
+    on the ordering, and only ``trend_r2`` (the best Eq. 4 R² of the
+    series in plotted order) is fitted per (variant, ordering).  M(v)
+    then reads F: a line's Trend(Y) is ``trend_r2 >= threshold``, a
+    bar's and a scatter's factors are ``distinct_tx`` and
+    ``corr_transformed``.
     """
 
     x: ColumnFeatures
@@ -101,7 +132,8 @@ class FeatureVector:
     distinct_ty: int
     corr_transformed: float
     y_min_transformed: float
-    # series-shape statistics of the plotted y values (extended set)
+    # series-shape statistics of the plotted y values (extended set):
+    # entropy and spread per data variant, trend R² per ordering
     y_entropy: float
     y_spread: float
     trend_r2: float

@@ -60,10 +60,16 @@ class FactorScores:
 def _pie_quality(node: VisualizationNode) -> float:
     """Eq. (1).  AVG pies, singleton pies and negative slices score 0;
     otherwise the normalised slice entropy, damped by 10/d beyond 10
-    slices."""
+    slices.
+
+    The one M(v) branch that reads the plotted series rather than F:
+    F's ``y_entropy`` is measured once per data variant, and the slice
+    entropy of an ordered pie sums the same shares in another order, so
+    the two can differ in the last bit.
+    """
     if node.query.aggregate is AggregateOp.AVG:
         return 0.0
-    d = node.data.distinct_x
+    d = node.features.distinct_tx
     if d <= 1:
         return 0.0
     y = np.asarray(node.data.y_values, dtype=np.float64)
@@ -77,7 +83,7 @@ def _pie_quality(node: VisualizationNode) -> float:
 
 def _bar_quality(node: VisualizationNode) -> float:
     """Eq. (2): 0 for one bar, 1 up to 20 bars, 20/d beyond."""
-    d = node.data.distinct_x
+    d = node.features.distinct_tx
     if d <= 1:
         return 0.0
     if d <= 20:
@@ -95,9 +101,18 @@ def _line_quality(
     r2_threshold: float,
     trend_families: Sequence[str] = TREND_FAMILIES,
 ) -> float:
-    """Eq. (4): Trend(Y) — 1 when the y series follows a distribution."""
-    if node.data.distinct_x <= 1:
+    """Eq. (4): Trend(Y) — 1 when the y series follows a distribution.
+
+    Under the default families F's ``trend_r2`` is exactly the best R²
+    that :func:`~repro.core.trend.fit_trend` finds for the plotted
+    series, so a positive threshold needs no refit.  Other families
+    (the opt-in "smooth") and a threshold of zero or below (which a
+    series too short to fit would pass) refit the series.
+    """
+    if node.features.distinct_tx <= 1:
         return 0.0
+    if r2_threshold > 0 and tuple(trend_families) == TREND_FAMILIES:
+        return 1.0 if node.features.trend_r2 >= r2_threshold else 0.0
     result = fit_trend(
         node.data.y_values, families=trend_families, r2_threshold=r2_threshold
     )
@@ -111,7 +126,10 @@ def matching_quality_raw(
 ) -> float:
     """Un-normalised M(v) for one node.
 
-    ``trend_families`` controls the line chart's Trend(Y) test; pass
+    A function of the query and the feature vector F for bar, scatter
+    and (under the default families) line charts; a pie also reads its
+    plotted slices.  ``trend_families`` controls the line chart's
+    Trend(Y) test; pass
     :data:`~repro.core.trend.EXTENDED_TREND_FAMILIES` to also accept
     smooth non-monotone series (seasonal curves like Figure 1(c)).
     """

@@ -28,6 +28,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 from ..dataset.table import Table
 from ..errors import NotFittedError, SelectionError
+from ..language.ast import ChartType
 from ..obs import MetricsRegistry, Tracer, maybe_span
 from ..obs.context import current_request_id, request_scope
 from ..obs.drift import node_id
@@ -238,8 +239,9 @@ class _MatchingMemo:
     """Raw matching quality M(v) per chart, computed once per chart state.
 
     Called like :func:`~repro.core.partial_order.matching_quality_raw`.
-    Entries key on the chart's stable id and are guarded by its feature
-    vector and plotted series, so a stale value is never served: within
+    Entries key on the chart's stable id and are guarded by what M(v)
+    reads: the feature vector, plus the plotted series for a pie (the
+    one branch that reads it), so a stale value is never served: within
     one request the rank phase reuses what the recognize phase computed,
     and a memo kept across requests (an incremental session's, one per
     session) reuses M(v) only for charts whose inputs did not move.
@@ -252,7 +254,10 @@ class _MatchingMemo:
 
     def __call__(self, node: VisualizationNode) -> float:
         chart_id = node_id(node)
-        guard = (node.features, node.data.y_values)
+        guard = (
+            node.features,
+            node.data.y_values if node.chart is ChartType.PIE else None,
+        )
         hit = self._entries.get(chart_id)
         if hit is not None and hit[0] == guard:
             return hit[1]

@@ -13,6 +13,15 @@ Fits are all reduced to ordinary least squares on transformed axes:
 * logarithmic:   y   ~ a * ln(t) + b           (t >= 1)
 * exponential:   ln y ~ a * t + b              (y > 0)
 * power law:     ln y ~ a * ln(t) + b          (y > 0, t >= 1)
+
+The R² of an OLS line is the squared Pearson correlation of its two
+axes, so every family reduces to the centred moments of
+:mod:`repro.core.correlation` (:func:`~repro.core.correlation.centred`
+and :func:`~repro.core.correlation.r_squared_centred`): each of the four
+axes (t, ln t, y, ln y) is centred once per series and each fit costs
+one sum of products, instead of a ``var``/``cov``/residual pass per
+family.  The "smooth" family's lag-1 autocorrelation uses the same
+centred side.
 """
 
 from __future__ import annotations
@@ -21,6 +30,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
+
+from .correlation import centred, r_squared_centred
 
 __all__ = [
     "TrendResult",
@@ -54,23 +65,6 @@ class TrendResult:
     per_family: Dict[str, float]
 
 
-def _r_squared_linear(t: np.ndarray, y: np.ndarray) -> float:
-    """R² of the OLS line ``y ~ a t + b``; 0 when y is constant."""
-    if len(t) < 3:
-        return 0.0
-    y_var = np.var(y)
-    if y_var <= 1e-12:
-        # A constant series trivially follows a (flat) linear trend.
-        return 1.0
-    t_var = np.var(t)
-    if t_var <= 1e-12:
-        return 0.0
-    slope = np.cov(t, y, bias=True)[0, 1] / t_var
-    intercept = y.mean() - slope * t.mean()
-    residual = y - (slope * t + intercept)
-    return float(max(0.0, 1.0 - np.var(residual) / y_var))
-
-
 def smoothness(y: Sequence[float]) -> float:
     """Lag-1 autocorrelation clipped to [0, 1].
 
@@ -82,12 +76,31 @@ def smoothness(y: Sequence[float]) -> float:
     y = y[np.isfinite(y)]
     if len(y) < 4:
         return 0.0
-    centred = y - y.mean()
-    denominator = float((centred**2).sum())
+    deviations, denominator = centred(y)
     if denominator <= 1e-12:
         return 1.0  # constant series: perfectly smooth
-    lag1 = float((centred[:-1] * centred[1:]).sum()) / denominator
+    lag1 = float((deviations[:-1] * deviations[1:]).sum()) / denominator
     return max(0.0, min(1.0, lag1))
+
+
+def _monotone_scores(y: np.ndarray, families: Sequence[str]) -> Dict[str, float]:
+    """R² of each requested monotone family over a finite series (n ≥ 3)."""
+    scores: Dict[str, float] = {}
+    t = np.arange(1, len(y) + 1, dtype=np.float64)
+    t_side = centred(t)
+    log_t_side = centred(np.log(t))
+    y_side = centred(y)
+    if "linear" in families:
+        scores["linear"] = r_squared_centred(*t_side, *y_side)
+    if "log" in families:
+        scores["log"] = r_squared_centred(*log_t_side, *y_side)
+    if ("exponential" in families or "power" in families) and (y > 0).all():
+        log_y_side = centred(np.log(y))
+        if "exponential" in families:
+            scores["exponential"] = r_squared_centred(*t_side, *log_y_side)
+        if "power" in families:
+            scores["power"] = r_squared_centred(*log_t_side, *log_y_side)
+    return scores
 
 
 def fit_trend(
@@ -104,19 +117,7 @@ def fit_trend(
     y = y[np.isfinite(y)]
     if len(y) < 3:
         return TrendResult(False, None, 0.0, {})
-    t = np.arange(1, len(y) + 1, dtype=np.float64)
-
-    scores: Dict[str, float] = {}
-    if "linear" in families:
-        scores["linear"] = _r_squared_linear(t, y)
-    if "log" in families:
-        scores["log"] = _r_squared_linear(np.log(t), y)
-    if (y > 0).all():
-        log_y = np.log(y)
-        if "exponential" in families:
-            scores["exponential"] = _r_squared_linear(t, log_y)
-        if "power" in families:
-            scores["power"] = _r_squared_linear(np.log(t), log_y)
+    scores = _monotone_scores(y, families)
     if "smooth" in families:
         scores["smooth"] = smoothness(y)
 

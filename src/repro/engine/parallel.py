@@ -19,6 +19,9 @@ config and models ship to each worker once via the pool initializer)
 or ``"thread"`` (no pickling, shared memory; useful when numpy releases
 the GIL or on platforms without cheap fork).  ``n_jobs = 1`` always
 short-circuits to the plain serial code path — no pool, no copies.
+The pool classes are imported inside the pool branches, so importing
+this module (as every ``import repro`` does) loads neither
+``concurrent.futures`` nor ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import nullcontext
 from typing import (
     Deque,
@@ -325,6 +327,8 @@ def parallel_enumerate(
         # values that are identical regardless of which thread computes
         # them first, so races cost duplicate work, never wrong answers.
         # (Pruning counters are per-task objects, so they never race.)
+        from concurrent.futures import ThreadPoolExecutor
+
         ctx = EnumerationContext(table, config)
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = [
@@ -333,6 +337,8 @@ def parallel_enumerate(
             ]
             slices = [future.result() for future in futures]
     elif backend == "process":
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_init_enum_worker,
@@ -622,6 +628,8 @@ def batch_select(
             # Threads share the parent tracer: engine.top_k records
             # spans straight onto it (per-thread stacks), so no span
             # capture/adoption round-trip is needed.
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 futures = [
                     pool.submit(_timed_top_k, engine, t, k, capture, rid)
@@ -640,6 +648,8 @@ def batch_select(
                     )
                     yield result
         elif backend == "process":
+            from concurrent.futures import ProcessPoolExecutor
+
             capture_spans = tracer is not None
             with ProcessPoolExecutor(
                 max_workers=jobs,

@@ -77,7 +77,11 @@ __all__ = [
 #: v2: ``SelectionResult`` gained the ``source`` ingest-record field —
 #: v1 pickles would crash ``dataclasses.replace`` on the result-cache
 #: hit path.
-PERSISTENT_CACHE_SCHEMA_VERSION = 2
+#: v3: ``FeatureVector``'s ``y_entropy``, ``y_spread`` and ``trend_r2``
+#: come from the centred-moments kernel, once per data variant; they
+#: can differ from v2 values in the last bits, and one L4 must never
+#: mix the two.
+PERSISTENT_CACHE_SCHEMA_VERSION = 3
 
 #: File magic for entry headers ("DeepEye L4").
 _MAGIC = b"DEL4"

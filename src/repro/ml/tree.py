@@ -167,11 +167,28 @@ class _BaseTree:
         node.right = self._grow(X, target, weights, right_idx, depth + 1)
         return node
 
-    def _leaf_for(self, x: np.ndarray) -> TreeNode:
-        node = self.root_
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node
+    def _route(self, X: np.ndarray) -> List[Tuple[TreeNode, np.ndarray]]:
+        """Each reached leaf with the indices of the rows landing in it.
+
+        Routes whole row-index arrays down the tree, one mask per
+        internal node: ``X[rows, f] <= threshold`` goes left, anything
+        else (NaN included) right — the per-row rule, array at a time.
+        """
+        routed: List[Tuple[TreeNode, np.ndarray]] = []
+        stack = [(self.root_, np.arange(len(X)))]
+        while stack:
+            node, rows = stack.pop()
+            if node.is_leaf:
+                routed.append((node, rows))
+                continue
+            go_left = X[rows, node.feature] <= node.threshold
+            right = rows[~go_left]
+            left = rows[go_left]
+            if len(right):
+                stack.append((node.right, right))
+            if len(left):
+                stack.append((node.left, left))
+        return routed
 
     def _check_fitted(self) -> None:
         if self.root_ is None:
@@ -267,7 +284,10 @@ class DecisionTreeClassifier(_BaseTree):
         """Class-probability matrix of shape ``(n_samples, n_classes)``."""
         self._check_fitted()
         X = np.asarray(X, dtype=np.float64)
-        return np.vstack([self._leaf_for(row).value for row in X])
+        probabilities = np.empty((len(X), self._n_classes))
+        for leaf, rows in self._route(X):
+            probabilities[rows] = leaf.value
+        return probabilities
 
     def predict(self, X) -> np.ndarray:
         """Most probable class per sample."""
@@ -343,11 +363,18 @@ class DecisionTreeRegressor(_BaseTree):
         """Predicted regression value per sample."""
         self._check_fitted()
         X = np.asarray(X, dtype=np.float64)
-        return np.asarray([self._leaf_for(row).value[0] for row in X])
+        values = np.empty(len(X))
+        for leaf, rows in self._route(X):
+            values[rows] = leaf.value[0]
+        return values
 
     def apply(self, X) -> List[TreeNode]:
         """The leaf node each sample lands in (used by LambdaMART's
         leaf-value re-estimation)."""
         self._check_fitted()
         X = np.asarray(X, dtype=np.float64)
-        return [self._leaf_for(row) for row in X]
+        leaves: List[Optional[TreeNode]] = [None] * len(X)
+        for leaf, rows in self._route(X):
+            for row in rows.tolist():
+                leaves[row] = leaf
+        return leaves

@@ -305,6 +305,39 @@ class MetricsRegistry:
                 )
             return family
 
+    def _instrument(
+        self,
+        name: str,
+        kind: str,
+        labels: Optional[Dict[str, str]],
+        help_text: str,
+        create,
+        buckets=None,
+    ):
+        """Get or create one instrument of ``kind``.
+
+        An instrument that already exists is returned without validating
+        the name or taking the lock: both dict reads are atomic, and an
+        entry is stored only once complete, so a reader finds a whole
+        instrument or none.  Creation (and the kind check, on a miss)
+        runs under the lock.
+        """
+        key = _label_items(labels)
+        family = self._families.get(name)
+        if family is not None and family.kind == kind:
+            instrument = family.instruments.get(key)
+            if instrument is not None:
+                return instrument
+        family = self._family(
+            name, kind, help_text, None if buckets is None else tuple(buckets)
+        )
+        with self._lock:
+            instrument = family.instruments.get(key)
+            if instrument is None:
+                instrument = create(family)
+                family.instruments[key] = instrument
+            return instrument
+
     def counter(
         self,
         name: str,
@@ -312,12 +345,9 @@ class MetricsRegistry:
         help: str = "",
     ) -> Counter:
         """Get or create the counter ``name`` for this label set."""
-        family = self._family(name, "counter", help)
-        key = _label_items(labels)
-        with self._lock:
-            if key not in family.instruments:
-                family.instruments[key] = Counter()
-            return family.instruments[key]
+        return self._instrument(
+            name, "counter", labels, help, lambda family: Counter()
+        )
 
     def gauge(
         self,
@@ -326,12 +356,9 @@ class MetricsRegistry:
         help: str = "",
     ) -> Gauge:
         """Get or create the gauge ``name`` for this label set."""
-        family = self._family(name, "gauge", help)
-        key = _label_items(labels)
-        with self._lock:
-            if key not in family.instruments:
-                family.instruments[key] = Gauge()
-            return family.instruments[key]
+        return self._instrument(
+            name, "gauge", labels, help, lambda family: Gauge()
+        )
 
     def histogram(
         self,
@@ -345,12 +372,10 @@ class MetricsRegistry:
         ``buckets`` only takes effect on first registration of the name;
         later calls reuse the family's buckets.
         """
-        family = self._family(name, "histogram", help, tuple(buckets))
-        key = _label_items(labels)
-        with self._lock:
-            if key not in family.instruments:
-                family.instruments[key] = Histogram(family.buckets)
-            return family.instruments[key]
+        return self._instrument(
+            name, "histogram", labels, help,
+            lambda family: Histogram(family.buckets), buckets,
+        )
 
     # -- export ---------------------------------------------------------
     def to_prometheus_text(self) -> str:

@@ -206,3 +206,30 @@ class TestObsCommand:
         code, text = _run(["obs", "diff", str(golden)])
         assert code == 1
         assert "reordered" in text
+
+
+def test_importing_the_cli_loads_no_corpus_pool_or_scipy():
+    """``import repro.cli`` is the start-up path of every command: the
+    synthetic corpus, the process pool and scipy load only when used."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    probe = (
+        "import sys, repro.cli\n"
+        "from repro.core import DeepEye\n"
+        "DeepEye(ranking='partial_order', recognizer_model=None, cache=False)\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=env, check=True, timeout=120,
+    )
+    loaded = done.stdout.split()
+    assert "repro.cli" in loaded
+    for prefix in ("repro.corpus", "multiprocessing", "scipy"):
+        assert not [m for m in loaded if m == prefix or m.startswith(prefix + ".")]

@@ -113,3 +113,81 @@ class TestRegressor:
         y = (X[:, 0] > 3).astype(float)
         model = DecisionTreeRegressor(max_depth=1).fit(X, y)
         assert model.n_leaves_ == 2
+
+
+def _per_row_leaf(tree, row):
+    """The row-at-a-time walk the array router replaced."""
+    node = tree.root_
+    while not node.is_leaf:
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node
+
+
+class TestArrayRouter:
+    """Routing row-index arrays lands every row where the per-row walk
+    does, NaN rows (which go right) included."""
+
+    @staticmethod
+    def _data(seed, n=160, d=4):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        X[rng.uniform(size=X.shape) < 0.08] = np.nan
+        return rng, X
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_classifier_leaves_and_outputs(self, seed):
+        rng, X = self._data(seed)
+        y = (np.nan_to_num(X[:, 0]) + rng.normal(0, 0.5, len(X)) > 0).astype(int)
+        train = np.nan_to_num(X, nan=0.0)
+        model = DecisionTreeClassifier(max_depth=6, random_state=seed).fit(train, y)
+        expected = np.vstack([_per_row_leaf(model, row).value for row in X])
+        assert np.array_equal(model.predict_proba(X), expected)
+        assert list(model.predict(X)) == list(
+            model.classes_[np.argmax(expected, axis=1)]
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_regressor_leaves_and_outputs(self, seed):
+        rng, X = self._data(seed)
+        y = np.sin(np.nan_to_num(X[:, 1])) + rng.normal(0, 0.1, len(X))
+        model = DecisionTreeRegressor(max_depth=5).fit(np.nan_to_num(X), y)
+        leaves = model.apply(X)
+        expected = [_per_row_leaf(model, row) for row in X]
+        assert all(a is b for a, b in zip(leaves, expected))
+        assert len(leaves) == len(X)
+        assert np.array_equal(
+            model.predict(X), np.asarray([leaf.value[0] for leaf in expected])
+        )
+
+    def test_lambdamart_scores_are_the_in_order_tree_sums(self):
+        from repro.ml.lambdamart import LambdaMART, RankingDataset
+
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(60, 3))
+        relevance = rng.integers(0, 3, size=60).astype(float)
+        groups = np.repeat(np.arange(6), 10)
+        model = LambdaMART(n_estimators=5, max_depth=3).fit(
+            RankingDataset(X, relevance, groups)
+        )
+        # Training through the per-row walk grows the very same model.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                DecisionTreeRegressor, "apply",
+                lambda tree, rows: [_per_row_leaf(tree, r) for r in rows],
+            )
+            reference = LambdaMART(n_estimators=5, max_depth=3).fit(
+                RankingDataset(X, relevance, groups)
+            )
+        assert np.array_equal(model.predict(X), reference.predict(X))
+        X[::7, 1] = np.nan
+        expected = np.zeros(len(X))
+        for tree in model.trees_:
+            expected += model.learning_rate * np.asarray(
+                [_per_row_leaf(tree, row).value[0] for row in X]
+            )
+        assert np.array_equal(model.predict(X), expected)
+
+    def test_empty_input(self):
+        model = DecisionTreeRegressor().fit([[0.0], [1.0]], [0.0, 1.0])
+        assert model.predict(np.zeros((0, 1))).shape == (0,)
+        assert model.apply(np.zeros((0, 1))) == []

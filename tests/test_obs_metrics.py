@@ -361,3 +361,95 @@ class TestExemplars:
         assert samples[("esc2_total", (("v", tricky),))] == 1
         (exemplar,) = parse_exemplars(text)
         assert exemplar["request_id"] == context.request_id
+
+
+class TestLockFreeHits:
+    """Existing instruments are returned without validation or locking;
+    creation and kind clashes still go through the locked path."""
+
+    def test_kind_clash_raises_once_the_name_exists(self):
+        registry = MetricsRegistry()
+        registry.counter("clash_total", labels={"a": "1"}).inc()
+        with pytest.raises(ValueError):
+            registry.gauge("clash_total", labels={"a": "1"})
+        with pytest.raises(ValueError):
+            registry.histogram("clash_total", labels={"a": "1"})
+        registry.gauge("level")
+        with pytest.raises(ValueError):
+            registry.counter("level")
+
+    def test_invalid_name_raises_on_every_call(self):
+        registry = MetricsRegistry()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                registry.counter("bad name")
+            with pytest.raises(ValueError):
+                registry.gauge("9starts_with_digit")
+
+    def test_hit_path_does_not_take_the_lock(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("hits_total", labels={"level": "l1"})
+        gauge = registry.gauge("entries", labels={"level": "l1"})
+        import threading
+
+        class CountingLock:
+            def __init__(self):
+                self.inner = threading.Lock()
+                self.entered = 0
+
+            def __enter__(self):
+                self.entered += 1
+                return self.inner.__enter__()
+
+            def __exit__(self, *exc):
+                return self.inner.__exit__(*exc)
+
+        registry._lock = CountingLock()
+        assert registry.counter("hits_total", labels={"level": "l1"}) is counter
+        assert registry.gauge("entries", labels={"level": "l1"}) is gauge
+        assert registry._lock.entered == 0
+        registry.counter("hits_total", labels={"level": "l2"})
+        assert registry._lock.entered > 0
+
+    def test_histogram_keeps_first_buckets(self):
+        registry = MetricsRegistry()
+        first = registry.histogram("lat_seconds", buckets=(1.0, 2.0))
+        again = registry.histogram("lat_seconds", buckets=(5.0,))
+        other = registry.histogram("lat_seconds", labels={"k": "v"}, buckets=(5.0,))
+        assert first is again
+        assert other.buckets == first.buckets
+
+    def test_concurrent_first_use_creates_one_instrument(self):
+        import sys
+        import threading
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                registry = MetricsRegistry()
+                start = threading.Barrier(8, timeout=10)
+                seen = []
+
+                def worker():
+                    start.wait()
+                    counter = registry.counter("race_total", labels={"k": "v"})
+                    counter.inc()
+                    seen.append(counter)
+                    seen.append(registry.gauge("race_gauge"))
+
+                threads = [threading.Thread(target=worker) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                counters = {id(i) for i in seen if isinstance(i, Counter)}
+                gauges = {id(i) for i in seen if isinstance(i, Gauge)}
+                assert len(counters) == 1 and len(gauges) == 1
+                family = registry._families["race_total"]
+                assert len(family.instruments) == 1
+                # No increment went to an instrument that was replaced.
+                assert family.instruments[(("k", "v"),)].value == 8
+        finally:
+            sys.setswitchinterval(interval)
