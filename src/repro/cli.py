@@ -63,13 +63,13 @@ from .obs import (
     format_event_report,
     format_timeline,
     load_snapshot,
-    maybe_span,
     parse_exemplars,
     read_event_log,
     request_scope,
     save_snapshot,
     timeline_request_ids,
 )
+from .obs.context import Observer
 from .language import parse_query
 from .render import render_ascii, to_vega_lite_json
 
@@ -889,8 +889,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     try:
         # One CLI invocation is one request: ingestion, selection, and
         # every metric exemplar below correlate under a single id.
-        with request_scope(command=args.command), maybe_span(
-            tracer, args.command, argv=" ".join(argv or sys.argv[1:])
+        with request_scope(command=args.command), Observer(tracer).span(
+            args.command, argv=" ".join(argv or sys.argv[1:])
         ):
             if profiler is not None:
                 profiler.start()

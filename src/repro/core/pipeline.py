@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
@@ -22,7 +21,9 @@ from ..dataset.table import Table
 from ..engine.cache import MultiLevelCache
 from ..errors import ModelError, SelectionError
 from ..obs import MetricsRegistry, Tracer, global_registry
+from ..obs.context import Observer
 from ..obs.events import EventLog
+from ..obs.health import SLOMonitor
 from .enumeration import EnumerationConfig
 from .hybrid import HybridRanker
 from .ltr import LearningToRankRanker
@@ -31,6 +32,14 @@ from .recognition import VisualizationRecognizer
 from .selection import PartialOrderRanker, SelectionResult, select_top_k
 
 __all__ = ["TrainingExample", "DeepEye"]
+
+
+def _option(value, build):
+    """``True`` builds the component, ``False``/``None`` leaves it off, an
+    instance is used as given (by identity: an empty EventLog is falsy)."""
+    if value is True:
+        return build()
+    return None if value is False or value is None else value
 
 
 @dataclass
@@ -164,46 +173,21 @@ class DeepEye:
             dataclasses.replace(config, **overrides) if overrides else config
         )
         self.graph_strategy = graph_strategy
-        if cache is True:
-            self.cache: Optional[MultiLevelCache] = MultiLevelCache()
-        elif cache:
-            self.cache = cache
-        else:
-            self.cache = None
+        self.cache: Optional[MultiLevelCache] = _option(cache, MultiLevelCache)
         if cache_dir is not None and self.cache is not None:
             if getattr(self.cache, "disk", None) is None:
                 from ..engine.persistent import DiskCacheTier
 
                 self.cache.disk = DiskCacheTier(cache_dir)
-        if trace is True:
-            self.tracer: Optional[Tracer] = Tracer()
-        elif trace:
-            self.tracer = trace
-        else:
-            self.tracer = None
-        if metrics is True:
-            self.metrics: Optional[MetricsRegistry] = global_registry()
-        elif metrics:
-            self.metrics = metrics
-        else:
-            self.metrics = None
-        # Explicit identity checks: an empty EventLog is falsy (it has
-        # __len__), so a plain truthiness test would drop one.
-        if events is True:
-            self.events: Optional[EventLog] = EventLog()
-        elif events is False:
-            self.events = None
-        else:
-            self.events = events
+        self.tracer: Optional[Tracer] = _option(trace, Tracer)
+        self.metrics: Optional[MetricsRegistry] = _option(
+            metrics, global_registry
+        )
+        self.events: Optional[EventLog] = _option(events, EventLog)
         self.provenance = bool(provenance)
-        if slo is True:
-            from ..obs.health import SLOMonitor
-
-            self.slo = SLOMonitor.with_default_objectives()
-        elif slo:
-            self.slo = slo
-        else:
-            self.slo = None
+        self.slo: Optional[SLOMonitor] = _option(
+            slo, SLOMonitor.with_default_objectives
+        )
         self.slow_threshold = slow_threshold
         self.max_slow_tables = int(max_slow_tables)
         # Imported here, not at module level: repro.engine.parallel
@@ -424,7 +408,9 @@ class DeepEye:
         logs and span trees it merges in input order).  ``record_slo``
         lets the batch driver disable per-call SLO recording — it
         records one outcome per table itself, with queue effects and
-        worker identity in hand.
+        worker identity in hand.  ``select_top_k`` runs under this
+        call's :class:`~repro.obs.context.Observer`, which adds the SLO
+        monitor to its sinks.
         """
         if self.ranking == "partial_order":
             ranker: Union[str, object] = "partial_order"
@@ -439,8 +425,11 @@ class DeepEye:
         else:  # hybrid: the paper's best configuration
             ranker = self.hybrid
             recognizer = self.recognizer
-        start = time.perf_counter()
-        try:
+        tracer = self.tracer if tracer is None else tracer
+        events = self.events if events is None else events
+        with Observer(
+            tracer, self.metrics, events, self.slo if record_slo else None
+        ) as observer:
             result = select_top_k(
                 table,
                 k=k,
@@ -451,23 +440,12 @@ class DeepEye:
                 config=self.config,
                 graph_strategy=self.graph_strategy,
                 cache=self.cache,
-                tracer=self.tracer if tracer is None else tracer,
+                tracer=tracer,
                 metrics=self.metrics,
-                events=self.events if events is None else events,
+                events=events,
                 provenance=self.provenance if provenance is None else provenance,
             )
-        except Exception:
-            if record_slo and self.slo is not None:
-                self.slo.record_outcome("selection_errors", False)
-            raise
-        if record_slo and self.slo is not None:
-            self.slo.record_latency(
-                "selection_latency", time.perf_counter() - start
-            )
-            self.slo.record_outcome("selection_errors", True)
-            self.slo.record_outcome(
-                "cache_hit_rate", result.result_cache_hit
-            )
+        observer.served(result)
         return result
 
     def top_k_batch(

@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dataset.column import ColumnType
 from ..dataset.table import Table
-from ..obs import MetricsRegistry, Tracer, maybe_span
+from ..obs import MetricsRegistry, Tracer
+from ..obs.context import Observer
 from .enumeration import (
     EnumerationConfig,
     EnumerationContext,
@@ -115,31 +116,26 @@ def progressive_top_k(
     optimisation ("never group a column k better charts dominate")
     observable.
     """
-    with maybe_span(
-        tracer, "progressive_top_k", table=table.name, k=k
+    observer = Observer(tracer, metrics)
+    with observer, observer.span(
+        "progressive_top_k", table=table.name, k=k
     ) as root:
-        result = _progressive_top_k(table, k, config, context, tracer, root)
-    if metrics is not None:
-        metrics.counter(
-            "progressive_runs_total",
-            help="progressive_top_k invocations",
-        ).inc()
-        metrics.counter(
-            "progressive_columns_opened_total",
-            help="Column leaves actually grouped/binned",
-        ).inc(result.columns_opened)
-        metrics.counter(
-            "progressive_columns_skipped_total",
-            help="Column leaves pruned by their schema upper bound",
-        ).inc(result.columns_skipped)
-        metrics.counter(
-            "progressive_candidates_materialised_total",
-            help="Candidate nodes generated by opened leaves",
-        ).inc(result.candidates_generated)
-        metrics.counter(
-            "progressive_nodes_emitted_total",
-            help="Charts emitted into the top-k",
-        ).inc(len(result.nodes))
+        result = _progressive_top_k(table, k, config, context, observer)
+        root.set("columns_opened", result.columns_opened)
+        root.set("columns_total", result.columns_total)
+        root.set("candidates_materialised", result.candidates_generated)
+        root.set("nodes_emitted", len(result.nodes))
+    for name, amount, help_text in (
+        ("runs", 1, "progressive_top_k invocations"),
+        ("columns_opened", result.columns_opened,
+         "Column leaves actually grouped/binned"),
+        ("columns_skipped", result.columns_skipped,
+         "Column leaves pruned by their schema upper bound"),
+        ("candidates_materialised", result.candidates_generated,
+         "Candidate nodes generated by opened leaves"),
+        ("nodes_emitted", len(result.nodes), "Charts emitted into the top-k"),
+    ):
+        observer.count(f"progressive_{name}_total", amount, help=help_text)
     return result
 
 
@@ -148,8 +144,7 @@ def _progressive_top_k(
     k: int,
     config: EnumerationConfig,
     context: Optional[EnumerationContext],
-    tracer: Optional[Tracer],
-    root,
+    observer: Observer,
 ) -> ProgressiveResult:
     ctx = context or EnumerationContext(table, config)
     importance = estimate_column_importance(table, config)
@@ -182,10 +177,9 @@ def _progressive_top_k(
         if kind == "bound":
             # Open the leaf: generate, score, and enqueue its charts.
             opened += 1
-            with maybe_span(tracer, "open_leaf", column=payload) as leaf_span:
+            with observer.span("open_leaf", column=payload) as leaf_span:
                 leaf_nodes = rule_based_for_column(ctx, payload)
-                if leaf_span is not None:
-                    leaf_span.add("materialised", len(leaf_nodes))
+                leaf_span.add("materialised", len(leaf_nodes))
             generated += len(leaf_nodes)
             for node in leaf_nodes:
                 if matching_quality_raw(node) <= 0:
@@ -197,11 +191,6 @@ def _progressive_top_k(
             top_nodes.append(payload)
             top_scores.append(-negative_score)
 
-    if root is not None:
-        root.set("columns_opened", opened)
-        root.set("columns_total", table.num_columns)
-        root.set("candidates_materialised", generated)
-        root.set("nodes_emitted", len(top_nodes))
     return ProgressiveResult(
         nodes=top_nodes,
         scores=top_scores,

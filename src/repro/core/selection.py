@@ -20,20 +20,16 @@ and whole results across calls (see :mod:`repro.engine.cache`).
 from __future__ import annotations
 
 import dataclasses
-import functools
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..dataset.table import Table
 from ..errors import NotFittedError, SelectionError
 from ..language.ast import ChartType
-from ..obs import MetricsRegistry, Tracer, maybe_span
-from ..obs.context import current_request_id, request_scope
+from ..obs import MetricsRegistry, Tracer
+from ..obs.context import Observer, current_request_id, request_scope
 from ..obs.drift import node_id
 from ..obs.events import EventLog
-from ..obs.kernels import KERNEL_STATS
 from ..obs.provenance import ChartProvenance
 from .enumeration import (
     EnumerationConfig,
@@ -196,8 +192,6 @@ def _enumerate_phase(
     recognizer: Optional[VisualizationRecognizer],
     cache,
     n_jobs: int,
-    metrics: Optional[MetricsRegistry] = None,
-    events: Optional[EventLog] = None,
 ) -> Tuple[List[VisualizationNode], Optional[List[bool]], PruningCounters]:
     """Candidates, (for the parallel path) their validity mask, and the
     per-rule pruning accounting of the run."""
@@ -226,8 +220,6 @@ def _enumerate_phase(
             recognizer=recognizer,
             cache=cache,
             pruning=pruning,
-            metrics=metrics,
-            events=events,
         )
         return nodes, mask, pruning
     context = context_for(table, config, cache=cache)
@@ -506,28 +498,6 @@ def _result_cache_key(
     )
 
 
-@contextmanager
-def _timed_phase(
-    tracer: Optional[Tracer], timings: Dict[str, float], name: str
-) -> Iterator[Optional[object]]:
-    """Run one pipeline phase under a span (when tracing) and record its
-    wall-clock into ``timings``.
-
-    With a tracer the timing *is* the span's duration — the ``timings``
-    dict is a derived view of the trace, not a second clock; without
-    one, a bare ``perf_counter`` pair keeps the fast path free of span
-    bookkeeping.
-    """
-    if tracer is not None:
-        with tracer.span(name) as span:
-            yield span
-        timings[name] = span.duration
-    else:
-        start = time.perf_counter()
-        yield None
-        timings[name] = time.perf_counter() - start
-
-
 def _recognize_and_rank(
     candidates: List[VisualizationNode],
     valid_mask: Optional[List[bool]],
@@ -537,10 +507,10 @@ def _recognize_and_rank(
     graph_strategy: str,
     raw_m: Callable[[VisualizationNode], float],
     want_trace: bool,
-    tracer: Optional[Tracer],
-    timings: Dict[str, float],
+    observer: Observer,
 ) -> Tuple[List[VisualizationNode], List[int], Optional[dict]]:
-    """The timed recognize and rank phases over enumerated candidates.
+    """The recognize and rank phases over enumerated candidates, timed by
+    the request's observer.
 
     The one recognize-and-rank path: :func:`select_top_k` and every
     :class:`~repro.engine.incremental.IncrementalSession` epoch run it,
@@ -548,24 +518,22 @@ def _recognize_and_rank(
     request, or the session's cross-epoch one).  Returns
     ``(valid_nodes, order, trace)``.
     """
-    with _timed_phase(tracer, timings, "recognize") as span:
+    with observer.phase("recognize") as span:
         valid_nodes = _recognize_phase(
             candidates, valid_mask, recognizer, raw_m
         )
-        if span is not None:
-            span.add("valid", len(valid_nodes))
-    with _timed_phase(tracer, timings, "rank") as span:
+        span.add("valid", len(valid_nodes))
+    with observer.phase("rank") as span:
         order, trace = _rank_phase(
             valid_nodes, ranker, ltr, graph_strategy, raw_m,
             want_trace=want_trace,
         )
-        if span is not None:
-            span.add("ranked", len(order))
+        span.add("ranked", len(order))
     return valid_nodes, order, trace
 
 
 def _emit_run_events(
-    events: EventLog,
+    observer: Observer,
     table_name: str,
     k: int,
     result: SelectionResult,
@@ -581,6 +549,7 @@ def _emit_run_events(
     result's provenance records.  ``rank_fields`` extend the rank event
     (an incremental session adds its ``epoch``).
     """
+    events = observer.events
     phase_fields = {
         "enumerate": {
             "candidates": result.candidates,
@@ -616,74 +585,89 @@ def _emit_run_events(
 
 
 def _record_selection_metrics(
-    metrics: MetricsRegistry,
+    observer: Observer,
+    table: Table,
     enumeration: str,
-    timings: Dict[str, float],
-    candidates: int,
-    valid: int,
+    result: SelectionResult,
     pruning: PruningCounters,
     cache,
 ) -> None:
-    """Publish one run's accounting into the metrics registry."""
+    """Publish one run's accounting (run through ``observer.record``)."""
     mode = {"E": "exhaustive", "R": "rules"}.get(enumeration, enumeration)
-    metrics.counter(
+    observer.count(
         "selection_runs_total",
-        labels={"enumeration": mode},
-        help="select_top_k calls that executed the pipeline",
-    ).inc()
-    for phase, seconds in timings.items():
-        metrics.histogram(
-            "selection_phase_seconds",
-            labels={"phase": phase},
-            help="Wall-clock per pipeline phase",
-        ).observe(seconds)
-    metrics.histogram(
-        "selection_total_seconds",
+        help="select_top_k calls that executed the pipeline", enumeration=mode,
+    )
+    for phase, seconds in result.timings.items():
+        observer.observe(
+            "selection_phase_seconds", seconds,
+            help="Wall-clock per pipeline phase", phase=phase,
+        )
+    observer.observe(
+        "selection_total_seconds", result.total_seconds,
         help="End-to-end select_top_k wall-clock",
-    ).observe(sum(timings.values()))
-    metrics.counter(
-        "enumeration_candidates_total",
-        labels={"mode": mode},
-        help="Candidate nodes materialised by enumeration",
-    ).inc(candidates)
-    metrics.counter(
-        "selection_valid_total",
+    )
+    observer.count(
+        "enumeration_candidates_total", result.candidates,
+        help="Candidate nodes materialised by enumeration", mode=mode,
+    )
+    observer.count(
+        "selection_valid_total", result.valid,
         help="Candidates surviving the recognition phase",
-    ).inc(valid)
-    metrics.counter(
-        "enumeration_considered_total",
-        help="Candidate variants examined by enumeration "
-        "(emitted + pruned)",
-    ).inc(pruning.considered)
+    )
+    observer.count(
+        "enumeration_considered_total", pruning.considered,
+        help="Candidate variants examined by enumeration (emitted + pruned)",
+    )
     for rule, count in pruning.pruned.items():
-        metrics.counter(
-            "enumeration_pruned_total",
-            labels={"rule": rule},
-            help="Candidates eliminated, per decision rule",
-        ).inc(count)
-    KERNEL_STATS.record_metrics(metrics)
-    if cache is not None:
-        cache.record_metrics(metrics)
+        observer.count(
+            "enumeration_pruned_total", count,
+            help="Candidates eliminated, per decision rule", rule=rule,
+        )
+    observer.publish(cache)
+    provider = getattr(table, "pushdown_provider", None)
+    if provider is not None:
+        provider.record_metrics(observer.metrics)
 
 
-def _request_scoped(fn):
-    """Run ``fn`` inside a :func:`~repro.obs.context.request_scope`.
+def _begin_request(
+    observer: Observer,
+    table: Table,
+    k: int,
+    enumeration: str,
+    ranker: Union[str, object],
+    n_jobs: int,
+) -> None:
+    """The request event opening a logged ``select_top_k`` call."""
+    fields = dict(
+        table=table.name,
+        fingerprint=table.fingerprint(),
+        k=k,
+        enumeration=enumeration,
+        ranker=ranker if isinstance(ranker, str) else type(ranker).__name__,
+        n_jobs=n_jobs,
+    )
+    source_info = getattr(table, "source_info", None)
+    if source_info is not None:
+        # Schema v3: where the table came from (see obs/events.py).
+        fields["source_kind"] = source_info.get("kind")
+        fields["source_id"] = source_info.get("id")
+        fields["source_query"] = source_info.get("query_fingerprint")
+        fields["source_mode"] = source_info.get("mode")
+    observer.events.begin_request(**fields)
 
-    An enclosing scope (a batch worker's table-level id, a CLI
-    invocation's id) is reused; otherwise a fresh id is minted — so
-    every selection's spans, events, provenance records, and metric
-    exemplars share one ``request_id`` without the call sites having to
-    thread it."""
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        with request_scope():
-            return fn(*args, **kwargs)
-
-    return wrapper
+def _emit_result_cache_hit(
+    observer: Observer, table_name: str, k: int, hit: SelectionResult
+) -> None:
+    observer.events.emit("cache", table=table_name, result_cache_hit=True)
+    observer.events.emit(
+        "rank", table=table_name, k=k,
+        chart_ids=[node_id(n) for n in hit.nodes],
+        result_cache_hit=True,
+    )
 
 
-@_request_scoped
 def select_top_k(
     table: Table,
     k: int = 10,
@@ -717,102 +701,77 @@ def select_top_k(
     ``select_top_k`` > ``enumerate`` / ``recognize`` / ``rank`` span
     tree — ``SelectionResult.timings`` is then derived from those spans;
     ``metrics`` (a :class:`~repro.obs.MetricsRegistry`) accumulates
-    phase latency histograms, per-rule pruning counters, and per-level
-    cache counters.  Both default to ``None`` = uninstrumented.
+    phase latency histograms, per-rule pruning and per-level cache
+    counters; ``events`` (an :class:`~repro.obs.EventLog`) appends the
+    run's request / phase / prune / score / rank / cache events.  All
+    ``None`` = uninstrumented.  They form the request's one
+    :class:`~repro.obs.context.Observer` (or the caller's bound one with
+    the same sinks, e.g. ``DeepEye.top_k``'s with its SLO monitor), so
+    the phase spans and the ``kernel_*`` metrics count this request's
+    kernel work alone, and a failure is recorded once — ``error`` event,
+    ``errors_total{stage, kind}`` with the request id — before it
+    propagates.
 
-    ``events`` (an :class:`~repro.obs.EventLog`) appends the run's
-    decision record — request / phase / prune / score / rank / cache
-    events — and ``provenance=True`` attaches a per-emitted-chart
+    ``provenance=True`` attaches a per-emitted-chart
     :class:`~repro.obs.ChartProvenance` record to the result (implied
     whenever ``events`` is given, since score events are built from the
-    records).  Both are read-only observers: the top-k is byte-identical
-    with them on or off.
+    records).  All of it is read-only: the top-k is byte-identical with
+    telemetry on or off.
     """
-    if k < 0:
-        raise SelectionError(f"k must be non-negative, got {k}")
-    jobs = config.n_jobs if n_jobs is None else n_jobs
-    if jobs != 1:
-        from ..engine.parallel import resolve_n_jobs
+    observer = Observer.for_request(tracer, metrics, events)
+    # An enclosing request scope (a batch table's, a CLI invocation's)
+    # is reused; otherwise the call mints its own request id.
+    with request_scope(), observer.scope("select_top_k", table=table.name):
+        if k < 0:
+            raise SelectionError(f"k must be non-negative, got {k}")
+        jobs = config.n_jobs if n_jobs is None else n_jobs
+        if jobs != 1:
+            from ..engine.parallel import resolve_n_jobs
 
-        jobs = resolve_n_jobs(jobs)
-    want_provenance = provenance or events is not None
-    source_info = getattr(table, "source_info", None)
+            jobs = resolve_n_jobs(jobs)
+        want_provenance = provenance or events is not None
+        source_info = getattr(table, "source_info", None)
+        observer.log(_begin_request, table, k, enumeration, ranker, jobs)
 
-    if events is not None:
-        request_fields = dict(
-            table=table.name,
-            fingerprint=table.fingerprint(),
-            k=k,
-            enumeration=enumeration,
-            ranker=(
-                ranker if isinstance(ranker, str) else type(ranker).__name__
-            ),
-            n_jobs=jobs,
+        # Result entries may persist to the disk tier only when every
+        # key component is stable across processes: model objects key by
+        # id(), which is meaningless in the next process, so
+        # model-bearing calls stay memory-only (transform/feature levels
+        # persist regardless — their keys are pure content fingerprints
+        # + AST fragments).
+        disk_stable = (
+            isinstance(ranker, str) and recognizer is None and ltr is None
         )
-        if source_info is not None:
-            # Schema v3: where the table came from (see obs/events.py).
-            request_fields["source_kind"] = source_info.get("kind")
-            request_fields["source_id"] = source_info.get("id")
-            request_fields["source_query"] = source_info.get(
-                "query_fingerprint"
+        if cache is not None:
+            key = _result_cache_key(
+                table, k, enumeration, ranker, recognizer, ltr, config,
+                graph_strategy, want_provenance,
             )
-            request_fields["source_mode"] = source_info.get("mode")
-        events.begin_request(**request_fields)
-
-    # Result entries may persist to the disk tier only when every key
-    # component is stable across processes: model objects key by id(),
-    # which is meaningless in the next process, so model-bearing calls
-    # stay memory-only (transform/feature levels persist regardless —
-    # their keys are pure content fingerprints + AST fragments).
-    disk_stable = (
-        isinstance(ranker, str) and recognizer is None and ltr is None
-    )
-    if cache is not None:
-        key = _result_cache_key(
-            table, k, enumeration, ranker, recognizer, ltr, config,
-            graph_strategy, want_provenance,
-        )
-        if disk_stable and hasattr(cache, "fetch"):
-            hit = cache.fetch("results", key)
-        else:
-            hit = cache.results.get(key)
-        if hit is not None:
-            with maybe_span(
-                tracer, "select_top_k", table=table.name, k=k,
-                result_cache_hit=True,
-            ):
-                pass
-            if metrics is not None:
-                metrics.counter(
+            if disk_stable and hasattr(cache, "fetch"):
+                hit = cache.fetch("results", key)
+            else:
+                hit = cache.results.get(key)
+            if hit is not None:
+                with observer.span(
+                    "select_top_k", table=table.name, k=k,
+                    result_cache_hit=True,
+                ):
+                    pass
+                observer.count(
                     "selection_result_cache_hits_total",
                     help="select_top_k calls answered from the result cache",
-                ).inc()
-                cache.record_metrics(metrics)
-            if events is not None:
-                events.emit(
-                    "cache", table=table.name, result_cache_hit=True,
                 )
-                events.emit(
-                    "rank", table=table.name, k=k,
-                    chart_ids=[node_id(n) for n in hit.nodes],
+                observer.publish(cache)
+                observer.log(_emit_result_cache_hit, table.name, k, hit)
+                return dataclasses.replace(
+                    hit,
+                    timings=dict(hit.timings),
+                    cache_stats=_flat_cache_stats(cache),
+                    provenance=dict(hit.provenance),
                     result_cache_hit=True,
                 )
-            return dataclasses.replace(
-                hit,
-                timings=dict(hit.timings),
-                cache_stats=_flat_cache_stats(cache),
-                provenance=dict(hit.provenance),
-                result_cache_hit=True,
-            )
 
-    timings: Dict[str, float] = {}
-    if metrics is not None:
-        # Stream per-call kernel_seconds histogram samples into the
-        # caller's registry for the duration of this run.
-        KERNEL_STATS.attach(metrics)
-    try:
-        with maybe_span(
-            tracer,
+        with observer.span(
             "select_top_k",
             table=table.name,
             k=k,
@@ -822,79 +781,46 @@ def select_top_k(
                 table.num_columns, config.include_one_column
             ),
         ) as root:
-            kernels_before = (
-                KERNEL_STATS.snapshot() if tracer is not None else None
-            )
-            with _timed_phase(tracer, timings, "enumerate") as span:
+            with observer.phase("enumerate") as span:
                 candidates, valid_mask, pruning = _enumerate_phase(
                     table, enumeration, config, recognizer, cache, jobs,
-                    metrics, events,
                 )
-                if span is not None:
-                    span.add("candidates", len(candidates))
-                    span.add("considered", pruning.considered)
-                    for rule, count in pruning.pruned.items():
-                        span.add(f"pruned.{rule}", count)
-                    # Split the phase wall-clock into kernel vs. the
-                    # rest (aggregation dispatch, feature extraction,
-                    # node assembly): one attribute pair per kernel
-                    # that did work during this phase.
-                    kernel_delta = KERNEL_STATS.delta_since(kernels_before)
-                    for name, delta in sorted(kernel_delta.items()):
-                        span.set(f"kernel.{name}.calls", int(delta["calls"]))
-                        span.set(f"kernel.{name}.seconds", delta["seconds"])
+                span.add("candidates", len(candidates))
+                span.add("considered", pruning.considered)
+                for rule, count in pruning.pruned.items():
+                    span.add(f"pruned.{rule}", count)
             valid_nodes, order, rank_trace = _recognize_and_rank(
                 candidates, valid_mask, recognizer, ranker, ltr,
-                graph_strategy, _MatchingMemo(), want_provenance, tracer,
-                timings,
+                graph_strategy, _MatchingMemo(), want_provenance, observer,
             )
+            root.set("candidates", len(candidates))
+            root.set("valid", len(valid_nodes))
 
-            if root is not None:
-                root.set("candidates", len(candidates))
-                root.set("valid", len(valid_nodes))
-    except Exception as exc:
-        if events is not None:
-            events.emit(
-                "error", table=table.name,
-                error=f"{type(exc).__name__}: {exc}",
+        provenance_records = (
+            _build_provenance(
+                valid_nodes, order, k, rank_trace, recognizer, pruning
             )
-        raise
-    finally:
-        if metrics is not None:
-            KERNEL_STATS.detach(metrics)
-
-    if metrics is not None:
-        _record_selection_metrics(
-            metrics, enumeration, timings, len(candidates),
-            len(valid_nodes), pruning, cache,
+            if want_provenance
+            else {}
         )
-        provider = getattr(table, "pushdown_provider", None)
-        if provider is not None:
-            provider.record_metrics(metrics)
-
-    top = [valid_nodes[i] for i in order[:k]]
-    provenance_records = (
-        _build_provenance(
-            valid_nodes, order, k, rank_trace, recognizer, pruning
+        result = SelectionResult(
+            nodes=[valid_nodes[i] for i in order[:k]],
+            order=order,
+            candidates=len(candidates),
+            valid=len(valid_nodes),
+            timings=dict(observer.timings),
+            cache_stats=_flat_cache_stats(cache) if cache is not None else {},
+            provenance=provenance_records,
+            source=dict(source_info) if source_info is not None else None,
         )
-        if want_provenance
-        else {}
-    )
-    result = SelectionResult(
-        nodes=top,
-        order=order,
-        candidates=len(candidates),
-        valid=len(valid_nodes),
-        timings=timings,
-        cache_stats=_flat_cache_stats(cache) if cache is not None else {},
-        provenance=provenance_records,
-        source=dict(source_info) if source_info is not None else None,
-    )
-    if events is not None:
-        _emit_run_events(events, table.name, k, result, pruning, cache)
-    if cache is not None:
-        if hasattr(cache, "store"):
-            cache.store("results", key, result, disk=disk_stable)
-        else:
-            cache.results.put(key, result)
-    return result
+        observer.record(
+            _record_selection_metrics, table, enumeration, result, pruning,
+            cache,
+        )
+        observer.log(_emit_run_events, table.name, k, result, pruning, cache)
+        if cache is not None:
+            if hasattr(cache, "store"):
+                cache.store("results", key, result, disk=disk_stable)
+            else:
+                cache.results.put(key, result)
+        return result

@@ -56,8 +56,7 @@ from typing import (
 import numpy as np
 
 from ..errors import DatasetError
-from ..obs.context import request_scope
-from ..obs.trace import maybe_span
+from ..obs.context import Observer, request_scope
 from .column import Column, ColumnType
 from .inference import _parse_number
 from .sketches import (
@@ -855,30 +854,6 @@ def _source_info(
     }
 
 
-def _record_ingest_metrics(
-    metrics,
-    source: TableSource,
-    mode: str,
-    rows: int,
-    chunks: int,
-    seconds: float,
-) -> None:
-    if metrics is None:
-        return
-    metrics.counter(
-        "ingest_rows_total", labels={"source": source.kind}
-    ).inc(rows)
-    metrics.counter(
-        "ingest_chunks_total", labels={"source": source.kind}
-    ).inc(chunks)
-    metrics.counter(
-        "ingest_tables_total", labels={"source": source.kind, "mode": mode}
-    ).inc()
-    metrics.histogram(
-        "ingest_seconds", labels={"source": source.kind}
-    ).observe(seconds)
-
-
 def _materialized_table(
     source: TableSource,
     header: List[str],
@@ -956,8 +931,8 @@ def from_source(
                 else "streaming"
             )
 
-    with request_scope(source=source.kind), maybe_span(
-        tracer,
+    observer = Observer(tracer, metrics)
+    with request_scope(source=source.kind), observer, observer.span(
         "ingest",
         source=source.kind,
         source_id=source.source_id(),
@@ -1001,13 +976,15 @@ def from_source(
                 source, header, pending, types, pushdown
             )
             final_mode = "materialized"
-        if span is not None:
-            span.set("mode", final_mode)
-            span.set("rows", rows_seen)
-            span.set("chunks", chunks_seen)
-            span.set("columns", len(header))
-        _record_ingest_metrics(
-            metrics, source, final_mode, rows_seen, chunks_seen,
-            time.perf_counter() - ingest_start,
+        span.set("mode", final_mode)
+        span.set("rows", rows_seen)
+        span.set("chunks", chunks_seen)
+        span.set("columns", len(header))
+        kind = source.kind
+        observer.count("ingest_rows_total", rows_seen, source=kind)
+        observer.count("ingest_chunks_total", chunks_seen, source=kind)
+        observer.count("ingest_tables_total", source=kind, mode=final_mode)
+        observer.observe(
+            "ingest_seconds", time.perf_counter() - ingest_start, source=kind
         )
     return table

@@ -69,10 +69,8 @@ from ..dataset.table import Table
 from ..errors import SelectionError, ValidationError
 from ..language.ast import AggregateOp
 from ..language.binning import TransformResult, merge_delta
-from ..obs import maybe_span
-from ..obs.context import request_scope
+from ..obs.context import Observer, request_scope
 from ..obs.drift import classify_drift, entry_from_result
-from ..obs.kernels import KERNEL_STATS
 
 __all__ = ["IncrementalSession", "AppendReport", "IncrementalDriftError"]
 
@@ -237,8 +235,9 @@ class IncrementalSession:
     tests and the CI gate run in.
 
     ``tracer`` / ``metrics`` / ``events`` are the usual read-only
-    observers; every merge decision lands in ``delta`` events and the
-    incremental counters.
+    sinks, under one :class:`~repro.obs.context.Observer` per epoch
+    (the initial build, then every append); every merge decision lands
+    in ``delta`` events and the incremental counters.
     """
 
     def __init__(
@@ -261,9 +260,7 @@ class IncrementalSession:
         self.config = config
         self.graph_strategy = graph_strategy
         self.cache = cache
-        self._tracer = tracer
-        self._metrics = metrics
-        self._events = events
+        self._sinks = (tracer, metrics, events)
         self._auto_verify = auto_verify
         self._subscribers: List[Callable[[AppendReport], None]] = []
 
@@ -280,20 +277,19 @@ class IncrementalSession:
         # Each epoch (init, then every append) is one logical request:
         # a fresh scope correlates the epoch's spans and events without
         # mixing epochs under a single id.
-        with request_scope(fresh=True, epoch=0):
-            if self._events is not None:
-                self._events.begin_request(
-                    table=table.name, fingerprint=fingerprint, k=k,
-                    enumeration=enumeration, ranker="partial_order",
-                    incremental=True, epoch=0, appended_rows=0,
-                )
-            timings: Dict[str, float] = {}
+        observer = Observer(*self._sinks)
+        with request_scope(fresh=True, epoch=0), observer:
+            observer.begin_request(
+                table=table.name, fingerprint=fingerprint, k=k,
+                enumeration=enumeration, ranker="partial_order",
+                incremental=True, epoch=0, appended_rows=0,
+            )
             ctx = EnumerationContext(table, config, cache=cache)
-            with maybe_span(
-                self._tracer, "incremental_init",
+            with observer.span(
+                "incremental_init",
                 table=table.name, rows=table.num_rows, k=k,
             ):
-                result, top_scores, _ = self._pipeline(ctx, timings)
+                result, top_scores, _ = self._pipeline(ctx, observer)
             self._harvest(ctx)
             self._column_state = {
                 column.name: _ColumnState.of(column)
@@ -303,7 +299,7 @@ class IncrementalSession:
             self._entry = entry_from_result(
                 table.name, fingerprint, result, scores=top_scores
             )
-            self._emit_epoch_events(result, ctx.pruning)
+            observer.log(self._emit_epoch_events, result, ctx.pruning)
         if auto_verify:
             self.verify()
 
@@ -363,64 +359,46 @@ class IncrementalSession:
         old_n = self.table.num_rows
         new_table = self.table.append_rows(materialized)
         new_fp = new_table.fingerprint()
-        with request_scope(fresh=True, epoch=self.epoch + 1):
-            if self._events is not None:
-                self._events.begin_request(
-                    table=new_table.name, fingerprint=new_fp, k=self.k,
-                    enumeration=self.enumeration, ranker="partial_order",
-                    incremental=True, epoch=self.epoch + 1,
-                    appended_rows=len(materialized),
-                )
-            timings: Dict[str, float] = {}
+        observer = Observer(*self._sinks)
+        with request_scope(fresh=True, epoch=self.epoch + 1), observer.scope(
+            "incremental_append", table=new_table.name
+        ):
+            observer.begin_request(
+                table=new_table.name, fingerprint=new_fp, k=self.k,
+                enumeration=self.enumeration, ranker="partial_order",
+                incremental=True, epoch=self.epoch + 1,
+                appended_rows=len(materialized),
+            )
             merge_log: List[Dict[str, Any]] = []
-            try:
-                with maybe_span(
-                    self._tracer, "incremental_append",
-                    table=new_table.name, epoch=self.epoch + 1,
-                    appended_rows=len(materialized),
-                    total_rows=new_table.num_rows,
-                ) as root:
-                    ctx = EnumerationContext(
-                        new_table, self.config, cache=self.cache
-                    )
-                    with selection._timed_phase(
-                        self._tracer, timings, "merge"
-                    ):
-                        delta_columns = {
-                            column.name: Column(
-                                column.name, column.ctype,
-                                column.values[old_n:]
-                            )
-                            for column in new_table.columns
-                        }
-                        self._merge_transforms(
-                            ctx, new_table, new_fp, delta_columns, old_n,
-                            merge_log
+            with observer.span(
+                "incremental_append",
+                table=new_table.name, epoch=self.epoch + 1,
+                appended_rows=len(materialized),
+                total_rows=new_table.num_rows,
+            ) as root:
+                ctx = EnumerationContext(new_table, self.config, cache=self.cache)
+                with observer.phase("merge"):
+                    delta_columns = {
+                        column.name: Column(
+                            column.name, column.ctype, column.values[old_n:]
                         )
-                        for name, state in self._column_state.items():
-                            state.extend(delta_columns[name].values)
-                            ctx._column_features[name] = state.features()
-                        for key in self._agg_keys:
-                            transform, y_name, op = key
-                            state = self._transform_state.get(transform)
-                            if state is not None:
-                                ctx._aggregates[key] = state.aggregated(
-                                    op, y_name
-                                )
+                        for column in new_table.columns
+                    }
+                    self._merge_transforms(
+                        ctx, new_table, new_fp, delta_columns, old_n, merge_log
+                    )
+                    for name, state in self._column_state.items():
+                        state.extend(delta_columns[name].values)
+                        ctx._column_features[name] = state.features()
+                    for key in self._agg_keys:
+                        transform, y_name, op = key
+                        state = self._transform_state.get(transform)
+                        if state is not None:
+                            ctx._aggregates[key] = state.aggregated(op, y_name)
 
-                    result, top_scores, computed = self._pipeline(
-                        ctx, timings
-                    )
-                    if root is not None:
-                        root.set("candidates", result.candidates)
-                        root.set("valid", result.valid)
-            except Exception as exc:
-                if self._events is not None:
-                    self._events.emit(
-                        "error", table=new_table.name,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                raise
+                result, top_scores, computed = self._pipeline(ctx, observer)
+                root.set("candidates", result.candidates)
+                root.set("valid", result.valid)
             self._harvest(ctx)
 
             new_entry = entry_from_result(
@@ -447,10 +425,12 @@ class IncrementalSession:
                 transforms_invalidated=actions.count("invalidated"),
                 raw_m_reused=result.candidates - computed,
                 raw_m_computed=computed,
-                timings=dict(timings),
+                timings=dict(observer.timings),
             )
-            self._emit_epoch_events(result, ctx.pruning, report, merge_log)
-            self._record_metrics(report)
+            observer.log(
+                self._emit_epoch_events, result, ctx.pruning, report, merge_log
+            )
+            self._record_metrics(observer, report)
         if report.churned:
             for callback in list(self._subscribers):
                 callback(report)
@@ -463,9 +443,8 @@ class IncrementalSession:
         classification; raises :class:`IncrementalDriftError` unless the
         maintained top-k is ``identical`` (same charts, same order, same
         scores) to the recompute."""
-        with maybe_span(
-            self._tracer, "incremental_verify",
-            table=self.table.name, epoch=self.epoch,
+        with Observer(tracer=self._sinks[0]).span(
+            "incremental_verify", table=self.table.name, epoch=self.epoch,
         ):
             scratch = select_top_k(
                 self.table,
@@ -611,7 +590,7 @@ class IncrementalSession:
     # Pipeline over a (pre-populated) context
     # ------------------------------------------------------------------
     def _pipeline(
-        self, ctx: EnumerationContext, timings: Dict[str, float]
+        self, ctx: EnumerationContext, observer: Observer
     ) -> Tuple[SelectionResult, List[float], int]:
         """One epoch's selection over the pre-populated ``ctx``.
 
@@ -621,14 +600,14 @@ class IncrementalSession:
         result, the S(v) scores of its top-k, and how many raw M(v)
         values the memo had to compute this epoch.
         """
-        with selection._timed_phase(self._tracer, timings, "enumerate"):
+        with observer.phase("enumerate"):
             candidates = enumerate_candidates(
                 ctx.table, self.enumeration, self.config, ctx
             )
         computed_before = self._raw_m.computed
         valid_nodes, order, trace = selection._recognize_and_rank(
             candidates, None, None, "partial_order", None,
-            self.graph_strategy, self._raw_m, True, self._tracer, timings,
+            self.graph_strategy, self._raw_m, True, observer,
         )
         top = order[:self.k]
         result = SelectionResult(
@@ -636,7 +615,7 @@ class IncrementalSession:
             order=order,
             candidates=len(candidates),
             valid=len(valid_nodes),
-            timings=dict(timings),
+            timings=dict(observer.timings),
             cache_stats=(
                 selection._flat_cache_stats(self.cache)
                 if self.cache is not None
@@ -646,7 +625,7 @@ class IncrementalSession:
                 selection._build_provenance(
                     valid_nodes, order, self.k, trace, None, ctx.pruning
                 )
-                if self._events is not None
+                if observer.events is not None
                 else {}
             ),
         )
@@ -658,6 +637,7 @@ class IncrementalSession:
     # ------------------------------------------------------------------
     def _emit_epoch_events(
         self,
+        observer: Observer,
         result: SelectionResult,
         pruning,
         report: Optional[AppendReport] = None,
@@ -665,9 +645,7 @@ class IncrementalSession:
     ) -> None:
         """The epoch's ``delta`` events (appends only), then the
         pipeline events every selection emits."""
-        if self._events is None:
-            return
-        events = self._events
+        events = observer.events
         table_name = self._entry["table"]
         for entry in merge_log:
             events.emit("delta", table=table_name, **entry)
@@ -682,52 +660,47 @@ class IncrementalSession:
                 drift=report.drift["kind"],
             )
         selection._emit_run_events(
-            events, table_name, self.k, result, pruning, self.cache,
+            observer, table_name, self.k, result, pruning, self.cache,
             epoch=self.epoch,
         )
 
-    def _record_metrics(self, report: AppendReport) -> None:
-        if self._metrics is None:
-            return
-        metrics = self._metrics
-        metrics.counter(
+    def _record_metrics(self, observer: Observer, report: AppendReport) -> None:
+        observer.count(
             "incremental_appends_total",
             help="Append batches folded into incremental sessions",
-        ).inc()
-        metrics.counter(
-            "incremental_appended_rows_total",
+        )
+        observer.count(
+            "incremental_appended_rows_total", report.appended_rows,
             help="Rows appended across incremental sessions",
-        ).inc(report.appended_rows)
+        )
         for action, count in (
             ("merged", report.transforms_merged),
             ("rebuilt", report.transforms_rebuilt),
             ("invalidated", report.transforms_invalidated),
         ):
             if count:
-                metrics.counter(
-                    "incremental_transforms_total",
-                    labels={"action": action},
+                observer.count(
+                    "incremental_transforms_total", count,
                     help="Cached transforms per append, by merge outcome",
-                ).inc(count)
+                    action=action,
+                )
         for outcome, count in (
             ("reused", report.raw_m_reused),
             ("computed", report.raw_m_computed),
         ):
             if count:
-                metrics.counter(
-                    "incremental_raw_m_total",
-                    labels={"outcome": outcome},
+                observer.count(
+                    "incremental_raw_m_total", count,
                     help="Raw matching-quality evaluations, by cache outcome",
-                ).inc(count)
-        metrics.counter(
+                    outcome=outcome,
+                )
+        observer.count(
             "incremental_topk_drift_total",
-            labels={"kind": report.drift["kind"]},
             help="Per-append top-k drift classification",
-        ).inc()
-        metrics.histogram(
-            "incremental_append_seconds",
+            kind=report.drift["kind"],
+        )
+        observer.observe(
+            "incremental_append_seconds", sum(report.timings.values()),
             help="End-to-end wall-clock per append batch",
-        ).observe(sum(report.timings.values()))
-        KERNEL_STATS.record_metrics(metrics)
-        if self.cache is not None and hasattr(self.cache, "record_metrics"):
-            self.cache.record_metrics(metrics)
+        )
+        observer.publish(self.cache)

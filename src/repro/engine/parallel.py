@@ -26,11 +26,11 @@ this module (as every ``import repro`` does) loads neither
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 import time
 from collections import deque
-from contextlib import nullcontext
 from typing import (
     Deque,
     Iterable,
@@ -55,9 +55,14 @@ from ..core.selection import _validity
 from ..dataset.table import Table
 from ..errors import SelectionError
 from ..obs import MetricsRegistry
-from ..obs.context import new_request_id, request_scope
+from ..obs.context import (
+    Observer,
+    current_observer,
+    new_request_id,
+    request_scope,
+)
 from ..obs.events import EventLog
-from ..obs.trace import Tracer, maybe_span
+from ..obs.trace import Tracer
 
 __all__ = [
     "resolve_n_jobs",
@@ -239,39 +244,35 @@ def _reassemble(
 def _absorb_task_stats(
     slices: Sequence[_ColumnSlice],
     pruning: Optional[PruningCounters],
-    metrics: Optional[MetricsRegistry],
-    events: Optional[EventLog] = None,
-    columns: Optional[Sequence[str]] = None,
+    observer: Observer,
+    columns: Sequence[str],
 ) -> None:
-    """Merge per-task pruning counters and latency samples upstream."""
+    """Merge per-task pruning counters upstream and report each task."""
     for _, _, task_counters, seconds, worker in slices:
         if pruning is not None:
             pruning.merge(task_counters)
-        if metrics is not None:
-            metrics.histogram(
-                "enumeration_task_seconds",
-                labels={"worker": worker},
-                help="Per-column enumerate+featurise+recognise task "
-                "latency, per worker",
-            ).observe(seconds)
-    if events is not None:
-        # Per-task phase events, folded in as one deterministic merge:
-        # slices were gathered in input (column) order regardless of
-        # worker scheduling, so the merged log is scheduling-independent.
-        events.merge(
-            {
-                "kind": "phase",
-                "phase": "enumerate_task",
-                "column": column,
-                "worker": worker,
-                "seconds": seconds,
-                "considered": task_counters.considered,
-                "emitted": task_counters.emitted,
-            }
-            for column, (_, _, task_counters, seconds, worker) in zip(
-                columns or (), slices
-            )
+        observer.observe(
+            "enumeration_task_seconds", seconds,
+            help="Per-column enumerate+featurise+recognise task latency, "
+            "per worker", worker=worker,
         )
+    # Per-task phase events, folded in as one deterministic merge:
+    # slices were gathered in input (column) order regardless of
+    # worker scheduling, so the merged log is scheduling-independent.
+    observer.merge(
+        {
+            "kind": "phase",
+            "phase": "enumerate_task",
+            "column": column,
+            "worker": worker,
+            "seconds": seconds,
+            "considered": task_counters.considered,
+            "emitted": task_counters.emitted,
+        }
+        for column, (_, _, task_counters, seconds, worker) in zip(
+            columns, slices
+        )
+    )
 
 
 def parallel_enumerate(
@@ -283,8 +284,6 @@ def parallel_enumerate(
     recognizer=None,
     cache=None,
     pruning: Optional[PruningCounters] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    events: Optional[EventLog] = None,
 ) -> Tuple[List[VisualizationNode], List[bool]]:
     """Enumerate, featurise and recognise candidates with a worker pool.
 
@@ -298,13 +297,13 @@ def parallel_enumerate(
     :class:`~repro.core.rules.PruningCounters` accumulator: every
     worker's per-rule accounting merges into it (process workers ship
     their counters back with the result), so the pruning report is
-    identical to a serial run.  ``metrics`` additionally records one
-    ``enumeration_task_seconds{worker=...}`` latency sample per
-    per-column task, and ``events`` (an
-    :class:`~repro.obs.EventLog`) receives one ``enumerate_task`` phase
-    event per per-column task, merged in input order — worker processes
-    cannot share the parent's log handle, so their task records are
-    gathered with the results and folded in deterministically.
+    identical to a serial run.  The calling request's observer records
+    one ``enumeration_task_seconds{worker=...}`` sample and one
+    ``enumerate_task`` phase event per per-column task, merged in input
+    order — worker processes cannot share the parent's log handle, so
+    their task records are gathered with the results and folded in
+    deterministically.  Thread tasks run in a copy of the caller's
+    context, so their kernel work counts toward the calling request.
 
     The multi-level ``cache`` is consulted only on the serial path —
     worker processes cannot share the parent's in-memory LRU, and
@@ -315,11 +314,12 @@ def parallel_enumerate(
     backend = backend or config.backend
     columns = table.column_names
     jobs = min(jobs, max(1, len(columns)))
+    observer = current_observer() or Observer()
 
     if jobs <= 1:
         ctx = EnumerationContext(table, config, cache=cache)
         slices = [_column_slice(ctx, recognizer, mode, x) for x in columns]
-        _absorb_task_stats(slices, pruning, metrics, events, columns)
+        _absorb_task_stats(slices, pruning, observer, columns)
         return _reassemble(slices)
 
     if backend == "thread":
@@ -332,7 +332,10 @@ def parallel_enumerate(
         ctx = EnumerationContext(table, config)
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_column_slice, ctx, recognizer, mode, x)
+                pool.submit(
+                    contextvars.copy_context().run,
+                    _column_slice, ctx, recognizer, mode, x,
+                )
                 for x in columns
             ]
             slices = [future.result() for future in futures]
@@ -350,7 +353,7 @@ def parallel_enumerate(
         raise SelectionError(
             f"unknown parallel backend {backend!r}; use 'process' or 'thread'"
         )
-    _absorb_task_stats(slices, pruning, metrics, events, columns)
+    _absorb_task_stats(slices, pruning, observer, columns)
     return _reassemble(slices)
 
 
@@ -394,16 +397,11 @@ def _timed_top_k(
     for :meth:`~repro.obs.Tracer.adopt`.
     """
     start = time.perf_counter()
+    worker_log = EventLog() if capture_events else None
+    worker_tracer = Tracer() if capture_spans else None
+    sinks = {"events": worker_log, "tracer": worker_tracer}
+    kwargs = {name: sink for name, sink in sinks.items() if sink is not None}
     with request_scope(request_id):
-        kwargs: dict = {}
-        worker_log = None
-        worker_tracer = None
-        if capture_events:
-            worker_log = EventLog()
-            kwargs["events"] = worker_log
-        if capture_spans:
-            worker_tracer = Tracer()
-            kwargs["tracer"] = worker_tracer
         if hasattr(engine, "top_k"):
             result = engine.top_k(table, k=k, record_slo=False, **kwargs)
         else:  # bare callable engines (tests)
@@ -436,77 +434,49 @@ def _batch_worker(table: Table, request_id: Optional[str] = None):
 
 def _record_batch_task(
     table: Table,
-    seconds: float,
-    worker: str,
-    metrics: Optional[MetricsRegistry],
+    request_id: str,
+    outcome: tuple,
+    observer: Observer,
     slow_log: Optional[List[dict]],
     slow_threshold: float,
-    events: Optional[EventLog] = None,
-    worker_events: Optional[List[dict]] = None,
-    request_id: Optional[str] = None,
-    result=None,
-    slo=None,
-    tracer: Optional[Tracer] = None,
-    worker_spans=None,
-) -> None:
-    if tracer is not None and worker_spans:
-        spans, worker_epoch = worker_spans
-        tracer.adopt(spans, worker_epoch, worker=worker)
-    if events is not None:
-        if worker_events:
-            events.merge(worker_events)
-        fields = dict(
-            phase="batch_table", table=table.name,
-            seconds=seconds, worker=worker,
+):
+    """Report one table's :func:`_timed_top_k` outcome; returns its result."""
+    result, seconds, worker, worker_events, worker_spans = outcome
+    observer.adopt(worker_spans, worker)
+    observer.merge(worker_events)
+    observer.emit(
+        "phase", phase="batch_table", table=table.name, seconds=seconds,
+        worker=worker, request_id=request_id,
+    )
+    observer.served(result, seconds)
+    # Re-enter the table's scope so the samples carry its exemplar even
+    # when they land parent-side (process workers increment their own
+    # pickled registry, which is discarded).
+    with request_scope(request_id):
+        observer.observe(
+            "batch_task_seconds", seconds,
+            help="Per-table top_k latency inside the batch pool, per worker",
+            worker=worker,
         )
-        if request_id is not None:
-            fields["request_id"] = request_id
-        events.emit("phase", **fields)
-    if slo is not None:
-        slo.record_latency("selection_latency", seconds)
-        slo.record_outcome("selection_errors", True)
-        if result is not None:
-            slo.record_outcome(
-                "cache_hit_rate",
-                bool(getattr(result, "result_cache_hit", False)),
-            )
-    if metrics is not None:
-        # Re-enter the table's scope so the sample carries its exemplar
-        # even when the observation lands parent-side (process workers
-        # increment their own pickled registry, which is discarded).
-        with request_scope(request_id) if request_id else nullcontext():
-            metrics.histogram(
-                "batch_task_seconds",
-                labels={"worker": worker},
-                help=(
-                    "Per-table top_k latency inside the batch pool, "
-                    "per worker"
-                ),
-            ).observe(seconds)
-    if seconds >= slow_threshold:
-        if slow_log is not None:
-            slow_log.append(
-                {
-                    "table": table.name,
-                    "rows": table.num_rows,
-                    "columns": table.num_columns,
-                    "seconds": seconds,
-                    "worker": worker,
-                }
-            )
-        if metrics is not None:
-            metrics.counter(
+        if seconds >= slow_threshold:
+            observer.count(
                 "batch_slow_tables_total",
                 help="Batch tables slower than the slow-table threshold",
-            ).inc()
+            )
+            if slow_log is not None:
+                slow_log.append(
+                    {
+                        "table": table.name,
+                        "rows": table.num_rows,
+                        "columns": table.num_columns,
+                        "seconds": seconds,
+                        "worker": worker,
+                    }
+                )
+    return result
 
 
-def _seed_batch_dedup(
-    engine,
-    tables: Sequence[Table],
-    metrics: Optional[MetricsRegistry],
-    events: Optional[EventLog],
-) -> None:
+def _seed_batch_dedup(engine, tables: Sequence[Table], observer: Observer) -> None:
     """Pre-seed the engine's transform cache with cross-table shared
     scans (see :func:`~repro.engine.shared_scan.batch_shared_transforms`).
 
@@ -529,15 +499,13 @@ def _seed_batch_dedup(
             cache.store("transforms", key, value)
         else:  # duck-typed cache without a disk tier
             cache.transforms.put(key, value)
-    if metrics is not None:
-        stats.record_metrics(metrics)
-    if events is not None:
-        events.emit(
-            "phase", phase="batch_dedup", tables=stats.tables,
-            transforms_total=stats.transforms_total,
-            computed=stats.computed, reused=stats.reused,
-            seconds=time.perf_counter() - start,
-        )
+    observer.record(lambda obs: stats.record_metrics(obs.metrics))
+    observer.emit(
+        "phase", phase="batch_dedup", tables=stats.tables,
+        transforms_total=stats.transforms_total,
+        computed=stats.computed, reused=stats.reused,
+        seconds=time.perf_counter() - start,
+    )
 
 
 def batch_select(
@@ -594,7 +562,10 @@ def batch_select(
     additionally records a ``batch_select`` umbrella span and (process
     backend) adopts each worker's span tree onto its own timeline;
     ``slo`` (an :class:`~repro.obs.health.SLOMonitor`) receives one
-    latency + error + cache-hit outcome per table.
+    latency + error + cache-hit outcome per table.  All five go through
+    one unbound :class:`~repro.obs.context.Observer` (a generator's
+    context would leak into its consumer); each table's top_k binds its
+    own.
     """
     tables = list(tables)
     jobs = resolve_n_jobs(
@@ -604,77 +575,69 @@ def batch_select(
     jobs = min(jobs, max(1, len(tables)))
     capture = events is not None
     request_ids = [new_request_id() for _ in tables]
+    observer = Observer(tracer, metrics, events, slo)
     if dedup or (dedup is None and getattr(engine, "cache", None) is not None):
-        _seed_batch_dedup(engine, tables, metrics, events)
+        _seed_batch_dedup(engine, tables, observer)
 
-    with maybe_span(
-        tracer, "batch_select", tables=len(tables), n_jobs=jobs,
+    with observer.span(
+        "batch_select", tables=len(tables), n_jobs=jobs,
         backend=backend if jobs > 1 else "serial",
     ):
-        if jobs <= 1:
-            for table, rid in zip(tables, request_ids):
-                result, seconds, worker, worker_events, worker_spans = (
-                    _timed_top_k(engine, table, k, capture, rid)
-                )
-                _record_batch_task(
-                    table, seconds, worker, metrics, slow_log,
-                    slow_threshold, events, worker_events, rid,
-                    result=result, slo=slo,
-                )
-                yield result
-            return
-
-        if backend == "thread":
-            # Threads share the parent tracer: engine.top_k records
-            # spans straight onto it (per-thread stacks), so no span
-            # capture/adoption round-trip is needed.
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [
-                    pool.submit(_timed_top_k, engine, t, k, capture, rid)
-                    for t, rid in zip(tables, request_ids)
-                ]
-                for table, rid, future in zip(
-                    tables, request_ids, futures
-                ):
-                    result, seconds, worker, worker_events, worker_spans = (
-                        future.result()
-                    )
-                    _record_batch_task(
-                        table, seconds, worker, metrics, slow_log,
-                        slow_threshold, events, worker_events, rid,
-                        result=result, slo=slo,
-                    )
-                    yield result
-        elif backend == "process":
-            from concurrent.futures import ProcessPoolExecutor
-
-            capture_spans = tracer is not None
-            with ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_init_batch_worker,
-                initargs=(engine, k, capture, capture_spans),
-            ) as pool:
-                futures = [
-                    pool.submit(_batch_worker, t, rid)
-                    for t, rid in zip(tables, request_ids)
-                ]
-                for table, rid, future in zip(
-                    tables, request_ids, futures
-                ):
-                    result, seconds, worker, worker_events, worker_spans = (
-                        future.result()
-                    )
-                    _record_batch_task(
-                        table, seconds, worker, metrics, slow_log,
-                        slow_threshold, events, worker_events, rid,
-                        result=result, slo=slo,
-                        tracer=tracer, worker_spans=worker_spans,
-                    )
-                    yield result
-        else:
-            raise SelectionError(
-                f"unknown parallel backend {backend!r}; use 'process' "
-                f"or 'thread'"
+        outcomes = _batch_outcomes(
+            engine, tables, request_ids, k, jobs, backend, capture,
+            capture_spans=tracer is not None,
+        )
+        for outcome, table, rid in zip(outcomes, tables, request_ids):
+            yield _record_batch_task(
+                table, rid, outcome, observer, slow_log, slow_threshold
             )
+
+
+def _batch_outcomes(
+    engine,
+    tables: Sequence[Table],
+    request_ids: Sequence[str],
+    k: int,
+    jobs: int,
+    backend: str,
+    capture: bool,
+    capture_spans: bool,
+) -> Iterator[tuple]:
+    """Each table's :func:`_timed_top_k` outcome, in input order."""
+    if jobs <= 1:
+        for table, rid in zip(tables, request_ids):
+            yield _timed_top_k(engine, table, k, capture, rid)
+    elif backend == "thread":
+        # Threads share the parent tracer: engine.top_k records spans
+        # straight onto it (per-thread stacks), so no span
+        # capture/adoption round-trip is needed.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            futures = [
+                pool.submit(
+                    contextvars.copy_context().run,
+                    _timed_top_k, engine, t, k, capture, rid,
+                )
+                for t, rid in zip(tables, request_ids)
+            ]
+            for future in futures:
+                yield future.result()
+    elif backend == "process":
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=jobs,
+            initializer=_init_batch_worker,
+            initargs=(engine, k, capture, capture_spans),
+        ) as pool:
+            futures = [
+                pool.submit(_batch_worker, t, rid)
+                for t, rid in zip(tables, request_ids)
+            ]
+            for future in futures:
+                yield future.result()
+    else:
+        raise SelectionError(
+            f"unknown parallel backend {backend!r}; use 'process' or 'thread'"
+        )

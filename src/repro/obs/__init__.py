@@ -10,10 +10,9 @@ with.  Three pillars:
 * **metrics** (:mod:`repro.obs.metrics`) — :class:`MetricsRegistry`
   holds counters, gauges, and fixed-bucket histograms (p50/p90/p99
   summaries) with Prometheus-text and JSON exporters;
-* **kernel accounting** (:mod:`repro.obs.kernels`) — the process-global
-  :data:`KERNEL_STATS` ledger the columnar transform/aggregation
-  kernels report calls / rows / buckets / seconds into, so traces and
-  metrics can split kernel time from the rest of the enumerate phase;
+* **kernel accounting** (:mod:`repro.obs.kernels`) — per-kernel
+  calls / rows / buckets / seconds, kept process-wide and per request,
+  so traces and metrics can split kernel time from the rest of a phase;
 * **decision events** (:mod:`repro.obs.events`) — :class:`EventLog`
   appends schema-versioned JSONL records of *what the pipeline decided*
   (requests, phases, per-rule pruning, per-chart scores, final ranks,
@@ -28,8 +27,9 @@ with.  Three pillars:
   behind ``repro obs snapshot`` / ``repro obs diff``;
 * **request context** (:mod:`repro.obs.context`) — contextvars-based
   request scopes minting the ``request_id`` stamped into every span,
-  event, provenance record, and metric exemplar, and the timeline
-  joiner behind ``repro obs timeline``;
+  event, provenance record, and metric exemplar; the per-request
+  :class:`~repro.obs.context.Observer` every instrumented layer writes
+  through; and the timeline joiner behind ``repro obs timeline``;
 * **profiling** (:mod:`repro.obs.profiler`) —
   :class:`SamplingProfiler`, a low-overhead wall-clock sampler
   (``setitimer`` + ``sys._current_frames``) exporting
@@ -39,13 +39,12 @@ with.  Three pillars:
   multi-window burn-rate objectives over selection latency / errors /
   cache hits, plus :class:`RuntimeSampler` feeding process gauges
   (RSS, GC, threads, queue depths) into a registry;
-* **instrumentation** — the selection pipeline
-  (:func:`repro.core.selection.select_top_k`), the enumeration rules
-  (per-rule pruning counters), the progressive method, and the serving
-  engine (cache level counters, per-worker task latency) all accept an
-  optional tracer/registry/event log; passing ``None`` keeps the
-  uninstrumented fast path (overhead proven < 5% by
-  ``benchmarks/bench_overhead.py``).
+* **instrumentation** — the public entry points (``select_top_k``,
+  ``DeepEye``, ``IncrementalSession``, ``from_source``,
+  ``batch_select``, ``progressive_top_k``) accept an optional
+  tracer/registry/event log and build one observer per request from
+  them; with none given, only the phase clocks run (overhead proven
+  < 5% by ``benchmarks/bench_overhead.py``).
 
 This package imports nothing from the rest of :mod:`repro`, so it can
 be loaded from any layer without cycles.
@@ -103,7 +102,7 @@ from .metrics import (
 )
 from .profiler import SamplingProfiler, active_profiler
 from .provenance import ChartProvenance, render_provenance
-from .trace import Span, Tracer, maybe_span
+from .trace import Span, Tracer
 
 __all__ = [
     "ChartProvenance",
@@ -143,7 +142,6 @@ __all__ = [
     "global_registry",
     "kendall_tau",
     "load_snapshot",
-    "maybe_span",
     "new_request_id",
     "node_id",
     "parse_exemplars",

@@ -29,13 +29,22 @@ the batch driver mints ids in the parent, ships them to pool workers,
 and the worker re-enters the scope before running the engine, so
 worker-side records and parent-side records of one table agree.
 
+An :class:`Observer` is the writer half: one per request, carrying its
+sinks (tracer, metrics registry, event log, SLO monitor), phase timings
+and kernel ledger.  The public entry points build it from their
+arguments and bind it (``with observer:``); the layers below time
+phases, emit events, record metrics and report failures through it
+(:func:`current_observer`), and the kernels account each call to the
+request ledger it binds alongside.  Thread-pool tasks run in a copy of
+the caller's context, so their kernel work counts toward the caller.
+
 The reader half, :func:`build_timeline`, joins the four streams back
 into one time-ordered per-request narrative — the body of
 ``repro obs timeline``.
 
-Pure stdlib; imports nothing from the rest of :mod:`repro` (the
-timeline takes already-parsed records, so there is no cycle with the
-modules that import this one).
+Pure stdlib plus its sibling :mod:`repro.obs.kernels`; imports nothing
+from the rest of :mod:`repro` (the timeline takes already-parsed
+records, so there is no cycle with the modules that import this one).
 """
 
 from __future__ import annotations
@@ -43,15 +52,20 @@ from __future__ import annotations
 import contextvars
 import itertools
 import os
+import time
 import uuid
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence
+
+from .kernels import REQUEST_LEDGER, KernelStats
 
 __all__ = [
     "RequestContext",
+    "Observer",
     "new_request_id",
     "current_context",
+    "current_observer",
     "current_request_id",
     "request_scope",
     "build_timeline",
@@ -137,6 +151,204 @@ def request_scope(
         yield context
     finally:
         _REQUEST.reset(token)
+
+
+# ----------------------------------------------------------------------
+# The request observer
+# ----------------------------------------------------------------------
+_OBSERVER: contextvars.ContextVar[Optional["Observer"]] = (
+    contextvars.ContextVar("repro_observer", default=None)
+)
+
+
+def current_observer() -> Optional["Observer"]:
+    """The observer bound for the running request, or ``None``."""
+    return _OBSERVER.get()
+
+
+class _UntracedSpan:
+    """What an untraced request's spans and phases yield."""
+
+    __slots__ = ()
+
+    def set(self, key: str, value: Any) -> "_UntracedSpan":
+        return self
+
+    def add(self, key: str, amount: float = 1.0) -> "_UntracedSpan":
+        return self
+
+
+_UNTRACED_SPAN = _UntracedSpan()
+_UNTRACED = nullcontext(_UNTRACED_SPAN)
+
+
+class Observer:
+    """One request's telemetry: its sinks, phase timings and kernel ledger.
+
+    ``tracer``, ``metrics``, ``events`` and ``slo`` may each be ``None``;
+    every method skips a missing sink.  ``timings`` maps each
+    :meth:`phase` to its seconds; ``kernels`` is the request's
+    :class:`~repro.obs.kernels.KernelStats` (when a tracer or registry
+    reads it), filled by the kernels while the observer is bound.
+    """
+
+    __slots__ = (
+        "tracer", "metrics", "events", "slo", "kernels", "timings",
+        "_phase", "_scope", "_started", "_tokens",
+    )
+
+    def __init__(self, tracer=None, metrics=None, events=None, slo=None) -> None:
+        self.tracer = tracer
+        self.metrics = metrics
+        self.events = events
+        self.slo = slo
+        ledger = tracer is not None or metrics is not None
+        self.kernels = KernelStats(metrics) if ledger else None
+        self.timings: Dict[str, float] = {}
+        self._phase: Optional[str] = None
+        self._scope: Optional[tuple] = None
+        self._started = time.perf_counter()
+        self._tokens: List[tuple] = []
+
+    @classmethod
+    def for_request(cls, tracer=None, metrics=None, events=None) -> "Observer":
+        """The bound observer if it has exactly these sinks (as
+        ``DeepEye.top_k`` binds one with its SLO monitor), else a new one."""
+        active = _OBSERVER.get()
+        if (
+            active is not None
+            and active.tracer is tracer
+            and active.metrics is metrics
+            and active.events is events
+        ):
+            return active
+        return cls(tracer, metrics, events)
+
+    def __enter__(self) -> "Observer":
+        self._tokens.append(
+            (_OBSERVER.set(self), REQUEST_LEDGER.set(self.kernels))
+        )
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        scope, self._scope = self._scope, None
+        if scope is not None and isinstance(exc, Exception):
+            self.error(exc, scope[0], **scope[1])
+        observer, ledger = self._tokens.pop()
+        REQUEST_LEDGER.reset(ledger)
+        _OBSERVER.reset(observer)
+
+    def scope(self, stage: str, **fields: Any) -> "Observer":
+        """For ``with observer.scope(stage, **fields):`` — binds like
+        ``with observer:``, and an exception escaping the block goes
+        through :meth:`error` before it propagates."""
+        self._scope = (stage, fields)
+        return self
+
+    def span(self, name: str, **attributes: Any):
+        """A tracer span, or an untraced stand-in."""
+        if self.tracer is None:
+            return _UNTRACED
+        return self.tracer.span(name, **attributes)
+
+    @contextmanager
+    def phase(self, name: str) -> Iterator[Any]:
+        """Time one pipeline phase into :attr:`timings`.
+
+        Traced, the timing is the span's duration and the span gets a
+        ``kernel.<name>.calls`` / ``.seconds`` pair per kernel that ran
+        in the phase; untraced, a bare ``perf_counter`` pair.
+        """
+        outer, self._phase = self._phase, name
+        if self.tracer is None:
+            start = time.perf_counter()
+            yield _UNTRACED_SPAN
+            self.timings[name] = time.perf_counter() - start
+        else:
+            before = self.kernels.snapshot()
+            with self.tracer.span(name) as span:
+                yield span
+                delta = self.kernels.delta_since(before)
+                for kernel, stats in sorted(delta.items()):
+                    span.set(f"kernel.{kernel}.calls", int(stats["calls"]))
+                    span.set(f"kernel.{kernel}.seconds", stats["seconds"])
+            self.timings[name] = span.duration
+        self._phase = outer
+
+    def adopt(self, worker_spans, worker: str) -> None:
+        """Graft a worker's ``(spans, epoch_unix)`` onto the tracer."""
+        if self.tracer is not None and worker_spans:
+            self.tracer.adopt(*worker_spans, worker=worker)
+
+    def begin_request(self, **fields: Any) -> None:
+        if self.events is not None:
+            self.events.begin_request(**fields)
+
+    def emit(self, kind: str, **fields: Any) -> None:
+        if self.events is not None:
+            self.events.emit(kind, **fields)
+
+    def merge(self, events) -> None:
+        """Fold pre-built event dicts (a worker's) into the log."""
+        if self.events is not None and events:
+            self.events.merge(events)
+
+    def log(self, writer: Callable[..., None], *args: Any, **kwargs: Any) -> None:
+        """``writer(self, ...)`` when there is an event log: for events
+        whose fields cost something to build."""
+        if self.events is not None:
+            writer(self, *args, **kwargs)
+
+    def count(
+        self, name: str, amount: float = 1.0, help: str = "", **labels: Any
+    ) -> None:
+        if self.metrics is not None:
+            self.metrics.counter(name, labels, help).inc(amount)
+
+    def observe(
+        self, name: str, value: float, help: str = "", **labels: Any
+    ) -> None:
+        if self.metrics is not None:
+            self.metrics.histogram(name, labels, help=help).observe(value)
+
+    def record(self, recorder: Callable[..., None], *args: Any) -> None:
+        """``recorder(self, ...)`` when there is a metrics registry."""
+        if self.metrics is not None:
+            recorder(self, *args)
+
+    def publish(self, cache=None) -> None:
+        """Add the kernel ledger to the registry's ``kernel_*_total``
+        counters, then ``cache``'s level counters."""
+        if self.metrics is not None:
+            self.kernels.record_metrics(self.metrics)
+            if cache is not None and hasattr(cache, "record_metrics"):
+                cache.record_metrics(self.metrics)
+
+    def error(self, exc: BaseException, stage: str, **fields: Any) -> None:
+        """The one failure record: an ``error`` event, an
+        ``errors_total{stage, kind}`` increment (the request id is its
+        exemplar) and a failed ``selection_errors`` SLO outcome.  The
+        stage is the running phase, else ``stage``."""
+        kind = type(exc).__name__
+        self.emit("error", **fields, error=f"{kind}: {exc}")
+        self.count(
+            "errors_total", help="Failed requests, by stage and exception type",
+            stage=self._phase or stage, kind=kind,
+        )
+        if self.slo is not None:
+            self.slo.record_outcome("selection_errors", False)
+
+    def served(self, result, seconds: Optional[float] = None) -> None:
+        """SLO samples of a served request: latency (``seconds``, else
+        the time since this observer was built), success, cache hit."""
+        if self.slo is not None:
+            if seconds is None:
+                seconds = time.perf_counter() - self._started
+            self.slo.record_latency("selection_latency", seconds)
+            self.slo.record_outcome("selection_errors", True)
+            self.slo.record_outcome(
+                "cache_hit_rate", bool(getattr(result, "result_cache_hit", False))
+            )
 
 
 # ----------------------------------------------------------------------

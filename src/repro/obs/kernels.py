@@ -3,26 +3,23 @@
 The enumeration hot path bottoms out in a handful of *kernels* — the
 vectorized transform operators (``bin_temporal``, ``bin_numeric``,
 ``bin_udf``, ``group_categorical``) and the aggregation scans
-(``count_scan``, ``y_scan``).  :class:`KernelStats` is the process-global
-ledger those kernels report into: per kernel name it accumulates calls,
-rows consumed, buckets produced, and wall-clock seconds, cheaply enough
-to stay always-on (one lock + four float adds per kernel invocation,
-orders of magnitude below the kernel work itself — the same bargain as
-the enumeration layer's ``PruningCounters``).
+(``count_scan``, ``y_scan``).  A :class:`KernelStats` ledger accumulates
+per kernel name the calls, rows consumed, buckets produced, and
+wall-clock seconds, cheaply enough to stay always-on (one lock + four
+float adds per kernel invocation, orders of magnitude below the kernel
+work itself — the same bargain as the enumeration layer's
+``PruningCounters``).
 
-Two consumption paths:
-
-* **pull** — :meth:`KernelStats.snapshot` / :meth:`KernelStats.delta_since`
-  give cumulative or windowed totals; the selection pipeline snapshots
-  around its *enumerate* phase so the trace span shows kernel time next
-  to aggregation time, and :meth:`KernelStats.record_metrics` bridges
-  the lifetime totals into a :class:`~repro.obs.metrics.MetricsRegistry`
-  as ``kernel_calls_total`` / ``kernel_rows_total`` /
-  ``kernel_buckets_total`` / ``kernel_seconds_total`` counters;
-* **push** — registries attached via :meth:`KernelStats.attach` receive a
-  live ``kernel_seconds{kernel=...}`` histogram observation per call
-  (bounds :data:`KERNEL_SECONDS_BUCKETS`, tuned for the
-  microsecond-to-millisecond range a single columnar pass occupies).
+Every kernel reports through :meth:`KernelStats.record` on
+:data:`KERNEL_STATS`, the process totals, which also accounts the call
+in the ledger of the request running it (:data:`REQUEST_LEDGER`, bound
+by the request's :class:`~repro.obs.context.Observer`), so concurrent
+requests never see each other's kernel work.  A request's ledger feeds
+its phase spans' ``kernel.<name>.calls`` / ``.seconds`` attributes, one
+``kernel_seconds{kernel=...}`` histogram sample per call (bounds
+:data:`KERNEL_SECONDS_BUCKETS`, tuned for the microsecond-to-millisecond
+range a single columnar pass occupies), and its registry's
+``kernel_*_total`` counters (:meth:`KernelStats.record_metrics`).
 
 Like the rest of :mod:`repro.obs`, this module imports nothing from the
 rest of :mod:`repro`; the kernels in :mod:`repro.language.binning`
@@ -34,8 +31,9 @@ counters); kernel seconds from process workers stay worker-local.
 
 from __future__ import annotations
 
+import contextvars
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = ["KERNEL_SECONDS_BUCKETS", "KernelStats", "KERNEL_STATS"]
 
@@ -52,21 +50,36 @@ KERNEL_SECONDS_BUCKETS: Tuple[float, ...] = (
 #: The counters tracked per kernel, in reporting order.
 _FIELDS = ("calls", "rows", "buckets", "seconds")
 
+_HELP = {
+    "calls": "Columnar kernel invocations",
+    "rows": "Rows consumed by columnar kernels",
+    "buckets": "Distinct buckets produced by columnar kernels",
+    "seconds": "Wall-clock seconds spent inside columnar kernels",
+}
+
 
 class KernelStats:
-    """Thread-safe per-kernel ledger of calls / rows / buckets / seconds."""
+    """Thread-safe per-kernel ledger of calls / rows / buckets / seconds;
+    a request's ``registry`` also gets one ``kernel_seconds`` sample per
+    call."""
 
-    def __init__(self) -> None:
+    def __init__(self, registry=None) -> None:
         self._lock = threading.Lock()
         self._totals: Dict[str, Dict[str, float]] = {}
-        self._registries: List[object] = []
+        self._registry = registry
 
     # -- recording ------------------------------------------------------
     def record(
         self, kernel: str, rows: int, buckets: int, seconds: float
     ) -> None:
-        """Account one kernel invocation; pushes a ``kernel_seconds``
-        histogram sample to every attached registry."""
+        """Account one kernel invocation here and in the running
+        request's ledger."""
+        self._add(kernel, rows, buckets, seconds)
+        ledger = REQUEST_LEDGER.get()
+        if ledger is not None:
+            ledger._add(kernel, rows, buckets, seconds)
+
+    def _add(self, kernel: str, rows: int, buckets: int, seconds: float) -> None:
         with self._lock:
             entry = self._totals.get(kernel)
             if entry is None:
@@ -76,31 +89,13 @@ class KernelStats:
             entry["rows"] += rows
             entry["buckets"] += buckets
             entry["seconds"] += seconds
-            registries = list(self._registries) if self._registries else None
-        if registries:
-            for registry in registries:
-                registry.histogram(
-                    "kernel_seconds",
-                    labels={"kernel": kernel},
-                    buckets=KERNEL_SECONDS_BUCKETS,
-                    help="Wall-clock of one columnar kernel invocation",
-                ).observe(seconds)
-
-    # -- live histogram sinks ------------------------------------------
-    def attach(self, registry) -> None:
-        """Start streaming per-call ``kernel_seconds`` observations into
-        ``registry`` (a :class:`~repro.obs.metrics.MetricsRegistry`)."""
-        with self._lock:
-            if registry not in self._registries:
-                self._registries.append(registry)
-
-    def detach(self, registry) -> None:
-        """Stop streaming into ``registry`` (no-op when not attached)."""
-        with self._lock:
-            try:
-                self._registries.remove(registry)
-            except ValueError:
-                pass
+        if self._registry is not None:
+            self._registry.histogram(
+                "kernel_seconds",
+                labels={"kernel": kernel},
+                buckets=KERNEL_SECONDS_BUCKETS,
+                help="Wall-clock of one columnar kernel invocation",
+            ).observe(seconds)
 
     # -- reading --------------------------------------------------------
     def snapshot(self) -> Dict[str, Dict[str, float]]:
@@ -132,32 +127,20 @@ class KernelStats:
             )
 
     def reset(self) -> None:
-        """Zero every counter (test isolation; attached sinks survive)."""
+        """Zero every counter (test isolation)."""
         with self._lock:
             self._totals.clear()
 
     # -- bridging -------------------------------------------------------
     def record_metrics(self, registry) -> None:
-        """Publish the lifetime totals into ``registry`` as monotone
-        counters (``set_cumulative``, so repeated syncs never go back)."""
+        """Add this ledger's totals to ``registry``'s ``kernel_*_total``
+        counters (once per ledger: a request's publishes its own work)."""
         for kernel, entry in self.snapshot().items():
-            labels = {"kernel": kernel}
-            registry.counter(
-                "kernel_calls_total", labels=labels,
-                help="Columnar kernel invocations",
-            ).set_cumulative(entry["calls"])
-            registry.counter(
-                "kernel_rows_total", labels=labels,
-                help="Rows consumed by columnar kernels",
-            ).set_cumulative(entry["rows"])
-            registry.counter(
-                "kernel_buckets_total", labels=labels,
-                help="Distinct buckets produced by columnar kernels",
-            ).set_cumulative(entry["buckets"])
-            registry.counter(
-                "kernel_seconds_total", labels=labels,
-                help="Wall-clock seconds spent inside columnar kernels",
-            ).set_cumulative(entry["seconds"])
+            for field in _FIELDS:
+                registry.counter(
+                    f"kernel_{field}_total", labels={"kernel": kernel},
+                    help=_HELP[field],
+                ).inc(entry[field])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         with self._lock:
@@ -167,5 +150,11 @@ class KernelStats:
         return f"KernelStats({kernels})"
 
 
-#: The process-global ledger every kernel reports into.
+#: The running request's ledger, bound by its Observer (or ``None``).
+REQUEST_LEDGER: contextvars.ContextVar[Optional[KernelStats]] = (
+    contextvars.ContextVar("repro_request_kernels", default=None)
+)
+
+#: The process-wide ledger every kernel reports into (and through which
+#: each call reaches its request's ledger).
 KERNEL_STATS = KernelStats()

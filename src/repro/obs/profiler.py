@@ -49,8 +49,8 @@ import signal
 import sys
 import threading
 import time
-from collections import Counter
-from typing import Any, Dict, List, Optional, Tuple
+from collections import Counter, deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 __all__ = ["SamplingProfiler", "active_profiler"]
 
@@ -138,6 +138,9 @@ class SamplingProfiler:
         self._use_signal_request = use_signal
         self.samples: Counter = Counter()
         self._lock = threading.Lock()
+        # Samples taken while ``_lock`` is busy (a signal may interrupt
+        # its holder): parked lock-free, folded in by the next access.
+        self._parked: Deque[Tuple[str, ...]] = deque()
         self._running = False
         self._signal_active = False
         self._in_handler = False
@@ -210,6 +213,7 @@ class SamplingProfiler:
         if self._sweeper is not None:
             self._sweeper.join(timeout=max(1.0, 5 * self.interval))
             self._sweeper = None
+        self.stacks()  # folds in parked samples
         if self._started_at is not None:
             self.wall_seconds += time.perf_counter() - self._started_at
             self._started_at = None
@@ -234,8 +238,20 @@ class SamplingProfiler:
         stack = self._span_prefix(thread_id) + _collapse(frame)
         if not stack:
             return
-        with self._lock:
+        if not self._lock.acquire(blocking=False):
+            self._parked.append(stack)
+            return
+        try:
+            self._unpark()
             self.samples[stack] += 1
+            self.sample_count += 1
+        finally:
+            self._lock.release()
+
+    def _unpark(self) -> None:
+        """Fold parked signal-handler samples in (caller holds the lock)."""
+        while self._parked:
+            self.samples[self._parked.popleft()] += 1
             self.sample_count += 1
 
     def _on_signal(self, signum, frame) -> None:
@@ -244,6 +260,8 @@ class SamplingProfiler:
         # drops ticks that land while a previous handler is still
         # walking a deep stack: Python-level handlers re-enter, and at
         # small intervals that recursion would otherwise be unbounded.
+        # It never blocks: a busy profiler lock (the interrupted code may
+        # hold it) parks the sample; open-span names need no lock.
         if not self._running or self._in_handler:
             return
         self._in_handler = True
@@ -270,16 +288,14 @@ class SamplingProfiler:
     def stacks(self) -> Dict[Tuple[str, ...], int]:
         """The aggregated ``{stack tuple: sample count}`` map (a copy)."""
         with self._lock:
+            self._unpark()
             return dict(self.samples)
 
     def collapsed(self) -> str:
         """The folded-stacks text ``flamegraph.pl`` consumes: one
         ``frame;frame;leaf count`` line per distinct stack, most
         samples first."""
-        with self._lock:
-            items = sorted(
-                self.samples.items(), key=lambda kv: (-kv[1], kv[0])
-            )
+        items = sorted(self.stacks().items(), key=lambda kv: (-kv[1], kv[0]))
         return "\n".join(
             ";".join(stack) + f" {count}" for stack, count in items
         ) + ("\n" if items else "")
@@ -291,8 +307,7 @@ class SamplingProfiler:
     def to_speedscope(self, name: str = "repro profile") -> Dict[str, Any]:
         """The speedscope sampled-profile JSON document (open at
         https://www.speedscope.app or with the local viewer)."""
-        with self._lock:
-            items = sorted(self.samples.items())
+        items = sorted(self.stacks().items())
         frame_index: Dict[str, int] = {}
         frames: List[Dict[str, str]] = []
         samples: List[List[int]] = []
@@ -333,8 +348,7 @@ class SamplingProfiler:
     def summary(self) -> Dict[str, Any]:
         """Headline accounting: samples, wall seconds, distinct stacks,
         and the sampling duty split (signal vs sweep)."""
-        with self._lock:
-            distinct = len(self.samples)
+        distinct = len(self.stacks())
         return {
             "interval": self.interval,
             "samples": self.sample_count,

@@ -31,7 +31,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .context import current_request_id
 
-__all__ = ["Span", "Tracer", "maybe_span"]
+__all__ = ["Span", "Tracer"]
 
 
 class Span:
@@ -138,6 +138,9 @@ class Tracer:
         self._lock = threading.Lock()
         # Shared view of every thread's open-span names, for the
         # sampling profiler: {thread_id: (outermost, ..., innermost)}.
+        # Lock-free: each thread writes only its own key and a dict
+        # store/pop/copy is atomic, so a profiler signal handler never
+        # waits on a lock the thread it interrupted holds.
         self._open_names: Dict[int, Tuple[str, ...]] = {}
 
     # -- span production ------------------------------------------------
@@ -178,28 +181,25 @@ class Tracer:
         if stack:
             stack[-1].children.append(span)
         stack.append(span)
-        with self._lock:
-            self._open_names[thread_id] = tuple(s.name for s in stack)
+        self._open_names[thread_id] = tuple(s.name for s in stack)
         try:
             yield span
         finally:
             span.end = time.perf_counter() - self.epoch
             stack.pop()
-            with self._lock:
-                if stack:
-                    self._open_names[thread_id] = tuple(
-                        s.name for s in stack
-                    )
-                else:
-                    self._open_names.pop(thread_id, None)
+            if stack:
+                self._open_names[thread_id] = tuple(s.name for s in stack)
+            else:
+                self._open_names.pop(thread_id, None)
+                with self._lock:
                     self.spans.append(span)
 
     def open_stacks(self) -> Dict[int, Tuple[str, ...]]:
         """Every thread's currently-open span names, outermost first —
         the span attribution the sampling profiler prefixes onto its
-        stacks (a snapshot copy; safe to read from any thread)."""
-        with self._lock:
-            return dict(self._open_names)
+        stacks (a snapshot copy; safe to read from any thread, and from
+        a signal handler: it takes no lock)."""
+        return dict(self._open_names)
 
     def adopt(
         self,
@@ -331,23 +331,3 @@ class Tracer:
         """Drop all finished spans (open spans are unaffected)."""
         with self._lock:
             self.spans.clear()
-
-
-@contextmanager
-def maybe_span(
-    tracer: Optional[Tracer], name: str, **attributes: Any
-) -> Iterator[Optional[Span]]:
-    """``tracer.span(...)`` when a tracer is given, else a free no-op.
-
-    Lets instrumented code keep one shape for both paths::
-
-        with maybe_span(tracer, "enumerate") as span:
-            ...
-            if span is not None:
-                span.add("candidates", len(nodes))
-    """
-    if tracer is None:
-        yield None
-    else:
-        with tracer.span(name, **attributes) as span:
-            yield span

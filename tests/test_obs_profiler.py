@@ -1,6 +1,9 @@
 """Tests for the sampling wall-clock profiler."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -178,6 +181,42 @@ class TestExport:
         )
         assert summary["distinct_stacks"] == len(profiler.stacks())
         assert summary["wall_seconds"] > 0
+
+
+#: A signal tick delivered while the interrupted main thread holds a
+#: lock the handler path could take.  Run in a subprocess so a deadlock
+#: fails the test on its timeout instead of hanging the suite.
+_TICK_UNDER_LOCK = """
+import signal, sys
+from repro.obs import SamplingProfiler, Tracer
+
+tracer = Tracer()
+profiler = SamplingProfiler(interval=60.0, tracer=tracer, use_signal=False)
+profiler.start()
+with tracer.span("outer"):
+    with {lock}:
+        profiler._on_signal(signal.SIGALRM, sys._getframe())
+profiler.stop()
+stacks = profiler.stacks()
+assert sum(stacks.values()) == 1, stacks
+assert all(stack[0] == "outer" for stack in stacks), stacks
+print("ok")
+"""
+
+
+class TestSignalHandlerNeverBlocks:
+    @pytest.mark.parametrize("lock", ["tracer._lock", "profiler._lock"])
+    def test_tick_under_a_held_lock_returns_and_keeps_its_sample(self, lock):
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _TICK_UNDER_LOCK.format(lock=lock)],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
 
 
 class TestCliProfile:

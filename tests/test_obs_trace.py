@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.obs import Span, Tracer, maybe_span
+from repro.obs import Span, Tracer
 
 
 class TestSpanNesting:
@@ -157,17 +157,7 @@ class TestThreads:
         assert by_name["worker"].thread_id != by_name["main"].thread_id
 
 
-class TestMaybeSpanAndClear:
-    def test_maybe_span_without_tracer_yields_none(self):
-        with maybe_span(None, "anything", k=1) as span:
-            assert span is None
-
-    def test_maybe_span_with_tracer_records(self):
-        tracer = Tracer()
-        with maybe_span(tracer, "real", k=1) as span:
-            assert span is not None
-        assert tracer.find("real").attributes == {"k": 1}
-
+class TestClear:
     def test_clear_drops_finished_spans(self):
         tracer = Tracer()
         with tracer.span("gone"):
